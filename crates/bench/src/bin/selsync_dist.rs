@@ -36,7 +36,7 @@ use selsync_core::shard::{
 };
 use selsync_core::trainer::{run_server_rank, run_worker_rank, WorkerOutput};
 use selsync_core::Workload;
-use selsync_net::{PollTcpEndpoint, TcpEndpoint, TcpFabricConfig};
+use selsync_net::{PollTcpEndpoint, TcpFabricConfig};
 use selsync_shard::{Role, ShardLayout};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -59,10 +59,6 @@ DIST KEYS:
   --connect-timeout  seconds to keep redialing peers    (default 60)
   --recv-timeout     watchdog seconds for blocking receives; a silent
                      fabric fails instead of hanging    (default 300)
-  --fabric           tcp | poll — thread-per-connection blocking fabric
-                     or the single-thread event-driven poll loop; the
-                     wire protocol is identical, so ranks may mix
-                     fabrics freely                     (default tcp)
 
 FAULT TOLERANCE:
   --elastic            run the elastic membership protocol: the ps
@@ -122,7 +118,6 @@ struct DistArgs {
     peers: Vec<String>,
     connect_timeout: Duration,
     recv_timeout: Duration,
-    poll_fabric: bool,
     elastic: bool,
     round_timeout: Duration,
     max_missed: u32,
@@ -142,7 +137,6 @@ fn split_dist_args(args: &[String]) -> Result<DistArgs, String> {
     let mut peers: Option<Vec<String>> = None;
     let mut connect_timeout = Duration::from_secs(60);
     let mut recv_timeout = Duration::from_secs(300);
-    let mut poll_fabric = false;
     let mut elastic = false;
     let mut round_timeout = Duration::from_millis(1000);
     let mut max_missed = 3u32;
@@ -195,13 +189,6 @@ fn split_dist_args(args: &[String]) -> Result<DistArgs, String> {
                         .map_err(|_| "--recv-timeout must be seconds".to_string())?,
                 )
             }
-            "--fabric" => {
-                poll_fabric = match dist_value()?.as_str() {
-                    "tcp" => false,
-                    "poll" => true,
-                    other => return Err(format!("--fabric takes tcp|poll, got '{other}'")),
-                }
-            }
             "--round-timeout-ms" => {
                 round_timeout = Duration::from_millis(
                     dist_value()?
@@ -248,7 +235,6 @@ fn split_dist_args(args: &[String]) -> Result<DistArgs, String> {
         peers: peers.ok_or("--peers is required")?,
         connect_timeout,
         recv_timeout,
-        poll_fabric,
         elastic,
         round_timeout,
         max_missed,
@@ -807,31 +793,20 @@ fn main() {
         run.config.strategy.label(),
         dist.peers[dist.rank]
     );
-    let code = if dist.poll_fabric {
-        match PollTcpEndpoint::connect(fabric) {
-            Ok(ep) => drive_endpoint(ep, &dist, &run, &workload, plan, shards),
-            Err(e) => {
-                eprintln!("[rank {}] fabric setup failed: {e}", dist.rank);
-                1
-            }
-        }
-    } else {
-        match TcpEndpoint::connect(fabric) {
-            Ok(ep) => drive_endpoint(ep, &dist, &run, &workload, plan, shards),
-            Err(e) => {
-                eprintln!("[rank {}] fabric setup failed: {e}", dist.rank);
-                1
-            }
+    let code = match PollTcpEndpoint::connect(fabric) {
+        Ok(ep) => drive_endpoint(ep, &dist, &run, &workload, plan, shards),
+        Err(e) => {
+            eprintln!("[rank {}] fabric setup failed: {e}", dist.rank);
+            1
         }
     };
     std::process::exit(code);
 }
 
-/// Run this rank over an established fabric endpoint (blocking or
-/// poll — the training code is fabric-agnostic) and return the exit
-/// code, with the fabric cleanly flushed before `main` exits.
-fn drive_endpoint<T: Transport>(
-    mut ep: T,
+/// Run this rank over an established fabric endpoint and return the
+/// exit code, with the fabric cleanly flushed before `main` exits.
+fn drive_endpoint(
+    mut ep: PollTcpEndpoint,
     dist: &DistArgs,
     run: &selsync_bench::cli::CliRun,
     workload: &Workload,

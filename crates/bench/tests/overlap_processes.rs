@@ -1,13 +1,10 @@
-//! End-to-end acceptance for the pipelined bucketed push and the
-//! event-driven poll fabric (DESIGN.md §12): spawn real `selsync_dist`
-//! OS processes (2 workers + 1 PS on localhost TCP) and check that the
-//! same-seed run is **bit-identical** — fingerprint-for-fingerprint —
-//! across every combination of push layout (monolithic vs bucketed)
-//! and fabric (blocking thread-per-connection vs single-thread poll
-//! loop), including a mixed-fabric cluster. The bucketed pipeline and
-//! the poll loop are allowed to change scheduling, threading and frame
-//! boundaries; they are not allowed to change a single bit of the
-//! result.
+//! End-to-end acceptance for the pipelined bucketed push (DESIGN.md
+//! §12): spawn real `selsync_dist` OS processes (2 workers + 1 PS on
+//! localhost TCP) and check that the same-seed run is **bit-identical**
+//! — fingerprint-for-fingerprint — whether pushes go out monolithic or
+//! in buckets of either size. The bucketed pipeline is allowed to
+//! change scheduling and frame boundaries; it is not allowed to change
+//! a single bit of the result.
 
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
@@ -84,13 +81,12 @@ struct ClusterResult {
     w0_fingerprint: String,
 }
 
-/// Run 2 workers + 1 PS to completion; `per_rank_extra[rank]` lets a
-/// caller give each rank different fabric flags (mixed-fabric interop).
-fn run_cluster(per_rank_extra: [&[&str]; 3]) -> ClusterResult {
+/// Run 2 workers + 1 PS to completion, every rank with `extra` flags.
+fn run_cluster(extra: &[&str]) -> ClusterResult {
     let peers = free_ports(3).join(",");
-    let ps = spawn_rank("ps", 2, &peers, per_rank_extra[2]);
-    let w0 = spawn_rank("worker", 0, &peers, per_rank_extra[0]);
-    let w1 = spawn_rank("worker", 1, &peers, per_rank_extra[1]);
+    let ps = spawn_rank("ps", 2, &peers, extra);
+    let w0 = spawn_rank("worker", 0, &peers, extra);
+    let w1 = spawn_rank("worker", 1, &peers, extra);
     let ps_out = ps.wait_with_output().unwrap();
     let w0_out = w0.wait_with_output().unwrap();
     let w1_out = w1.wait_with_output().unwrap();
@@ -125,34 +121,16 @@ fn assert_same(a: &ClusterResult, b: &ClusterResult, what: &str) {
 }
 
 #[test]
-fn bucketed_and_poll_fabric_runs_are_bit_identical_to_the_baseline() {
-    // the baseline: monolithic pushes over the blocking fabric
-    let baseline = run_cluster([&[], &[], &[]]);
-
-    // bucketed pipelined pushes (1000-value Bucket frames) — the
-    // tentpole bit-identity claim, across real OS processes
-    let bucketed = run_cluster([
-        &["--overlap-buckets", "1000"],
-        &["--overlap-buckets", "1000"],
-        &["--overlap-buckets", "1000"],
-    ]);
-    assert_same(&baseline, &bucketed, "bucketed vs monolithic");
-
-    // the event-driven poll fabric on every rank
-    let polled = run_cluster([
-        &["--fabric", "poll"],
-        &["--fabric", "poll"],
-        &["--fabric", "poll"],
-    ]);
-    assert_same(&baseline, &polled, "poll fabric vs blocking fabric");
-
-    // both at once, on a *mixed* cluster: worker 0 and the PS speak the
-    // poll loop, worker 1 the blocking fabric — same wire protocol, so
-    // same bits
-    let mixed = run_cluster([
-        &["--fabric", "poll", "--overlap-buckets", "500"],
-        &["--overlap-buckets", "500"],
-        &["--fabric", "poll", "--overlap-buckets", "500"],
-    ]);
-    assert_same(&baseline, &mixed, "mixed fabrics + buckets vs baseline");
+fn bucketed_runs_are_bit_identical_to_the_monolithic_baseline() {
+    let baseline = run_cluster(&[]);
+    // bucketed pipelined pushes — the tentpole bit-identity claim,
+    // across real OS processes, at two bucket sizes
+    for buckets in ["1000", "500"] {
+        let bucketed = run_cluster(&["--overlap-buckets", buckets]);
+        assert_same(
+            &baseline,
+            &bucketed,
+            &format!("{buckets}-value buckets vs monolithic"),
+        );
+    }
 }

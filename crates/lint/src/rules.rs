@@ -148,13 +148,12 @@ struct NondetTime;
 
 /// Modules allowed to read the clock: they implement timeouts,
 /// watchdogs and liveness deadlines, where wall time is the point.
-const TIME_ALLOWLIST: [&str; 7] = [
+const TIME_ALLOWLIST: [&str; 6] = [
     "crates/comm/src/elastic.rs",
     "crates/comm/src/fabric.rs",
     "crates/comm/src/shard.rs",
     "crates/core/src/elastic.rs",
     "crates/net/src/poll.rs",
-    "crates/net/src/tcp.rs",
     "crates/serve/src/timer.rs",
 ];
 
@@ -565,13 +564,14 @@ impl Rule for WireWildcard {
 // ---------------------------------------------------------------------
 
 /// Blocking calls inside the poll driver. `PollTcpEndpoint`'s single
-/// driver thread multiplexes every connection with nonblocking I/O; one
-/// blocking `read`/`sleep`/`lock` in `driver_loop` or anything it calls
-/// stalls *all* peers at once. The rule builds the intra-file call
-/// graph from `driver_loop` and denies a fixed list of blocking calls
-/// in every reachable fn; justified `lint:allow(poll-blocking)` marks
-/// the deliberate exceptions (the idle backoff sleep, the bounded
-/// redial attempt).
+/// driver thread multiplexes every connection with nonblocking I/O and
+/// sleeps only in its one readiness wait (`poll(2)` over every socket
+/// with work pending, plus a wake socket); one blocking
+/// `read`/`sleep`/`lock`/`connect` in `driver_loop` or anything it
+/// calls stalls *all* peers at once. The rule builds the intra-file
+/// call graph from `driver_loop` and denies a fixed list of blocking
+/// calls in every reachable fn. The driver itself needs no exception:
+/// its dials are a nonblocking connect/handshake state machine.
 struct PollBlocking;
 
 /// Call names that block the calling thread. `recv` is exact — the

@@ -1,11 +1,11 @@
 //! # selsync-net
 //!
 //! Real-socket transport for the SelSync fabric: a length-prefixed
-//! binary wire codec for [`selsync_comm::Payload`] frames and a blocking
-//! TCP fabric ([`TcpEndpoint`]) implementing
-//! [`selsync_comm::Transport`], so every strategy in `selsync-core` runs
-//! unchanged across OS processes (DESIGN.md substitution 1, lifted: the
-//! transport is no longer simulated).
+//! binary wire codec for [`selsync_comm::Payload`] frames and a TCP
+//! fabric ([`PollTcpEndpoint`], one event-driven driver thread per
+//! rank) implementing [`selsync_comm::Transport`], so every strategy in
+//! `selsync-core` runs unchanged across OS processes (DESIGN.md
+//! substitution 1, lifted: the transport is no longer simulated).
 //!
 //! Wire format (all integers big-endian):
 //!
@@ -29,11 +29,12 @@
 
 pub mod codec;
 pub mod poll;
-pub mod tcp;
+mod sys;
 
 pub use codec::{
     crc32, decode_frame, decode_handshake, encode_frame, encode_handshake, FrameError, Handshake,
     CRC_BYTES, HANDSHAKE_BYTES, PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
-pub use poll::PollTcpEndpoint;
-pub use tcp::{LinkFault, TcpEndpoint, TcpFabricConfig, DEFAULT_MAX_FRAME_BYTES};
+pub use poll::{
+    loopback_mesh, LinkFault, PollTcpEndpoint, TcpFabricConfig, DEFAULT_MAX_FRAME_BYTES,
+};

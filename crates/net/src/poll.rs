@@ -1,85 +1,212 @@
-//! Event-driven TCP fabric: one driver thread, nonblocking sockets, a
-//! std-only readiness loop.
+//! The TCP fabric: a fully-connected mesh of processes (or threads)
+//! speaking the [`codec`](crate::codec) wire format, with one driver
+//! thread per rank.
 //!
-//! [`PollTcpEndpoint`] speaks exactly the wire protocol of the blocking
-//! fabric ([`crate::tcp::TcpEndpoint`]) — same 8-byte version
-//! handshake, same CRC-checked codec-v2 frames, same
-//! `max_frame_bytes` hostile-length cap, same typed
-//! [`TransportError`]s and [`LinkFault`] reports — but replaces the
-//! 2(N−1)+1 reader/writer/acceptor threads per rank with a **single
-//! driver thread** multiplexing every connection:
+//! Topology: rank `i` listens on `peers[i]` and dials one outbound
+//! connection to every other rank, so each ordered pair owns a
+//! unidirectional frame stream. Every new connection opens with the
+//! 8-byte protocol preamble ([`crate::codec::encode_handshake`]): each
+//! side sends its own and validates the peer's, so a mixed-version
+//! fleet (or a stranger speaking another protocol entirely) fails fast
+//! instead of mis-parsing frames.
 //!
-//! * every socket (listener included) runs nonblocking; the driver
-//!   sweeps them in a loop, sleeping briefly only when a full sweep
-//!   makes no progress, so the loop needs nothing beyond `std` — no
-//!   epoll/kqueue binding — yet stays off-CPU when the fabric is idle;
+//! [`PollTcpEndpoint`]'s single driver thread multiplexes every
+//! connection:
+//!
+//! * every socket runs nonblocking. Between sweeps the driver sleeps in
+//!   one `poll(2)` call over the listener, the inbound sockets, the
+//!   outbound sockets with bytes queued, the dials in flight and a wake
+//!   socket that [`Transport::send`] and teardown write to — off-CPU
+//!   while the fabric is idle, awake within a syscall of any event;
 //! * each outbound peer owns a **write backpressure queue**: frames a
 //!   kernel send buffer will not take (`WouldBlock`) park in the queue
 //!   with a byte offset into the partially-written front frame, and the
-//!   driver resumes mid-frame on the next sweep — [`Transport::send`]
-//!   never blocks the caller, exactly like the channel fabric;
+//!   driver resumes mid-frame once the socket turns writable —
+//!   [`Transport::send`] never blocks the caller, exactly like the
+//!   channel fabric;
 //! * inbound connections parse incrementally: bytes accumulate in a
 //!   per-connection buffer and complete handshakes/frames peel off as
 //!   they arrive, so one slow peer trickling a large frame never stalls
-//!   the others (the head-of-line blocking a blocking `read_exact`
-//!   would impose).
+//!   the others;
+//! * dialing is a nonblocking state machine — connect (`EINPROGRESS`,
+//!   then writable, then `SO_ERROR`), write our preamble, read the
+//!   peer's echo — with a deadline per attempt and capped backoff
+//!   between attempts, so a dead or hung peer never stalls a healthy
+//!   link. Set-up and the redial of a broken link run the same machine:
+//!   set-up waits for every link within `connect_timeout`, a broken
+//!   link gets `reconnect_timeout`.
 //!
-//! Byte-level damage — torn frames, CRC mismatches, hostile length
-//! prefixes, rejected handshakes — is reported and tallied exactly as
-//! the blocking fabric does: a typed [`LinkFault`] with the peer
-//! address and stream byte offset, a `corrupt_messages` tick, and the
-//! connection torn down (a stream that lost framing cannot be
-//! resynchronized; the peer's writer redials).
+//! Byte-level damage on an inbound connection — a torn frame, a CRC
+//! mismatch, a hostile length prefix, a rejected handshake — is
+//! surfaced as a typed [`LinkFault`] (peer address, stream byte offset
+//! and a [`TransportError::Protocol`] error) and tallied in
+//! [`CommStats::corrupt_messages`], then the connection is torn down: a
+//! stream that has lost framing cannot be resynchronized, so the peer's
+//! driver redials and the protocol retry layers absorb the loss.
+//! Blocking receives never return these faults as errors — a damaged
+//! frame behaves like a lost one (`RecvTimeout` + resend), so clean-link
+//! behavior is unchanged.
 //!
-//! A broken *established* outbound link redials with capped backoff
-//! within `reconnect_timeout`, paced by the sweep so the other peers
-//! keep flowing during the outage; only an exhausted budget (or a
-//! version-mismatch handshake, which a retry cannot fix) declares the
-//! peer unreachable.
+//! Only an exhausted budget, a version-mismatch handshake (which a
+//! retry cannot fix) or shutdown gives a broken link up; sends to that
+//! peer then surface as [`TransportError::PeerUnreachable`].
 
 use crate::codec::{
     decode_after_len, decode_handshake, encode_frame, encode_handshake, HANDSHAKE_BYTES,
 };
-use crate::tcp::{
-    bind_reuse, dial, link_fault, shake_hands_as_dialer, InboxEvent, LinkFault, TcpFabricConfig,
-};
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use selsync_comm::{CommStats, Msg, Payload, Transport, TransportError};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long the driver sleeps after a sweep that made no progress —
-/// the poll loop's only timer, so it bounds added latency when a
-/// message arrives exactly as the driver dozes off.
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
+/// Default ceiling on a single frame's declared size; a corrupted
+/// length prefix fails fast instead of attempting a huge allocation.
+/// Configurable per fabric via [`TcpFabricConfig::max_frame_bytes`].
+pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 30;
 
-/// Per-sweep cap on bytes read from one inbound connection, so a
-/// firehose peer cannot starve its neighbours within a sweep.
+/// Cap on bytes read from one inbound connection per wake-up, so a
+/// firehose peer cannot starve its neighbours.
 const READ_CHUNK: usize = 256 * 1024;
 
-/// Dial budget for one *redial* attempt inside the driver loop. Short:
-/// a redial must not stall the sweep (and with it every other peer)
-/// for long; the overall budget is `reconnect_timeout` across
-/// attempts.
-const REDIAL_ATTEMPT: Duration = Duration::from_millis(100);
+/// Deadline for one dial attempt (connect, preamble, echo). A slower
+/// attempt is dropped and retried after the backoff; nothing waits on
+/// it meanwhile.
+const DIAL_ATTEMPT: Duration = Duration::from_secs(1);
 
-/// One rank's handle on the event-driven TCP fabric. Implements
-/// [`Transport`] with the exact semantics of the blocking
-/// [`crate::tcp::TcpEndpoint`]; only the threading model differs.
+/// Backoff between dial attempts: doubles from the first value up to
+/// the second.
+const BACKOFF_MIN: Duration = Duration::from_millis(20);
+const BACKOFF_MAX: Duration = Duration::from_millis(500);
+
+/// Configuration for one rank of a TCP fabric.
+#[derive(Debug, Clone)]
+pub struct TcpFabricConfig {
+    /// This process's rank (index into `peers`).
+    pub rank: usize,
+    /// `host:port` of every rank, in rank order. `peers.len()` is the
+    /// fabric size. Resolved once, at set-up.
+    pub peers: Vec<String>,
+    /// Budget for bringing up every outbound link at set-up (dial
+    /// attempts retry with backoff inside it).
+    pub connect_timeout: Duration,
+    /// Watchdog for blocking receives: a `recv_*` that sees no matching
+    /// message for this long returns [`TransportError::RecvTimeout`]
+    /// (deadlock/peer-death detector).
+    pub recv_timeout: Duration,
+    /// Budget for re-establishing a *broken* established link (peer
+    /// crashed and restarted, transient network fault). The driver
+    /// redials with capped exponential backoff for this long before the
+    /// peer is declared unreachable; failover protocols need this to
+    /// survive a parameter-server restart without tearing the fabric
+    /// down.
+    pub reconnect_timeout: Duration,
+    /// Ceiling on a single inbound frame's declared size. A length
+    /// prefix above this — hostile or corrupt — is rejected as a
+    /// [`LinkFault`] before any allocation is attempted.
+    pub max_frame_bytes: usize,
+}
+
+impl TcpFabricConfig {
+    /// Config with production-lenient timeouts.
+    pub fn new(rank: usize, peers: Vec<String>) -> Self {
+        TcpFabricConfig {
+            rank,
+            peers,
+            connect_timeout: Duration::from_secs(30),
+            recv_timeout: Duration::from_secs(300),
+            reconnect_timeout: Duration::from_secs(15),
+            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
+        }
+    }
+}
+
+/// A byte-level fault the driver detected on one inbound connection: a
+/// frame torn mid-read, a CRC mismatch, a hostile length prefix, or a
+/// rejected handshake. Distinguishes in-flight damage from a peer crash
+/// (which shows up as a clean EOF or `PeerUnreachable` instead) in soak
+/// and chaos logs.
+#[derive(Debug, Clone)]
+pub struct LinkFault {
+    /// Remote address of the damaged connection.
+    pub peer: SocketAddr,
+    /// Bytes successfully consumed from this connection's stream
+    /// before the fault (handshake included) — where in the stream the
+    /// damage was detected.
+    pub offset: u64,
+    /// The typed error, always [`TransportError::Protocol`].
+    pub error: TransportError,
+}
+
+fn link_fault(peer: SocketAddr, offset: u64, detail: &str) -> LinkFault {
+    LinkFault {
+        peer,
+        offset,
+        error: TransportError::Protocol(format!(
+            "{detail} (peer {peer}, stream byte offset {offset})"
+        )),
+    }
+}
+
+/// What the driver feeds the endpoint's inbox: decoded messages, plus
+/// typed fault reports the endpoint collects off to the side.
+enum InboxEvent {
+    Msg(Msg),
+    Fault(LinkFault),
+}
+
+/// Bind `n` ephemeral loopback ports and connect a full mesh of
+/// endpoints over them, one set-up thread per rank. `tune` adjusts each
+/// rank's config (timeouts, frame cap) before it connects. Endpoints
+/// come back in rank order.
+///
+/// # Errors
+/// Bind failures, and the first rank's set-up failure.
+pub fn loopback_mesh(
+    n: usize,
+    tune: impl Fn(&mut TcpFabricConfig),
+) -> io::Result<Vec<PollTcpEndpoint>> {
+    let listeners = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0"))
+        .collect::<io::Result<Vec<_>>>()?;
+    let peers = listeners
+        .iter()
+        .map(|l| l.local_addr().map(|a| a.to_string()))
+        .collect::<io::Result<Vec<_>>>()?;
+    let handles: Vec<_> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(rank, listener)| {
+            let mut config = TcpFabricConfig::new(rank, peers.clone());
+            tune(&mut config);
+            thread::spawn(move || PollTcpEndpoint::connect_with_listener(config, listener))
+        })
+        .collect();
+    handles
+        .into_iter()
+        .map(|h| {
+            h.join()
+                .map_err(|_| io::Error::other("mesh set-up thread panicked"))?
+        })
+        .collect()
+}
+
+/// One rank's handle on the TCP fabric. Implements [`Transport`], so
+/// the PS, collectives and trainer run over it unchanged.
 pub struct PollTcpEndpoint {
     id: usize,
     n: usize,
     /// Frame queues into the driver; `None` at `id` (self-sends loop
     /// back through `inbox_tx`). The driver drops a peer's receiver
-    /// when it declares the peer unreachable, which surfaces here as
-    /// `PeerUnreachable` on the next send — same contract as the
-    /// blocking fabric's writer threads.
+    /// when it gives the peer up, which surfaces here as
+    /// `PeerUnreachable` on the next send.
     outbound: Vec<Option<Sender<Bytes>>>,
     inbox_tx: Sender<InboxEvent>,
     inbox: Receiver<InboxEvent>,
@@ -88,15 +215,23 @@ pub struct PollTcpEndpoint {
     stats: Arc<CommStats>,
     recv_timeout: Duration,
     shutdown: Arc<AtomicBool>,
+    /// Our end of the driver's wake socket: a byte written here ends
+    /// the driver's readiness wait.
+    waker: UnixStream,
     driver: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
 
 impl PollTcpEndpoint {
-    /// Bind `peers[rank]` and connect the mesh; see
-    /// [`crate::tcp::TcpEndpoint::connect`]. Dialing is blocking (ranks
-    /// may start in any order); once the mesh is up, everything runs on
-    /// the single driver thread.
+    /// Bind `peers[rank]` and connect the mesh: dial every peer (with
+    /// retry/backoff, so ranks may start in any order) while accepting
+    /// theirs, and return once every outbound link is handshaken.
+    ///
+    /// The bind itself also retries within `connect_timeout`: the
+    /// assigned port may be transiently occupied — typically as the
+    /// ephemeral *source* port of someone else's outbound connection —
+    /// and giving up immediately would strand the whole fabric waiting
+    /// on this rank.
     ///
     /// # Errors
     /// Propagates bind/dial/handshake failures.
@@ -104,7 +239,7 @@ impl PollTcpEndpoint {
         let addr = config.peers[config.rank].as_str();
         let deadline = Instant::now() + config.connect_timeout;
         let listener = loop {
-            match bind_reuse(addr) {
+            match sys::bind_reuse(addr) {
                 Ok(l) => break l,
                 Err(e) if e.kind() == io::ErrorKind::AddrInUse && Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(50));
@@ -119,7 +254,11 @@ impl PollTcpEndpoint {
     /// lets tests bind port 0 and exchange the real addresses first.
     ///
     /// # Errors
-    /// Propagates dial/handshake failures.
+    /// Peer addresses that do not resolve, and dial/handshake failures:
+    /// a peer still unreachable after `connect_timeout`, or one that
+    /// speaks another protocol version (an `InvalidData` error wrapping
+    /// [`crate::codec::FrameError`], recoverable via
+    /// [`io::Error::get_ref`]).
     pub fn connect_with_listener(
         config: TcpFabricConfig,
         listener: TcpListener,
@@ -127,71 +266,56 @@ impl PollTcpEndpoint {
         let n = config.peers.len();
         assert!(config.rank < n, "rank {} out of range 0..{n}", config.rank);
         let local_addr = listener.local_addr()?;
-        let (inbox_tx, inbox) = unbounded::<InboxEvent>();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(CommStats::default());
-
-        // Spawn the driver *before* dialing: every dial below blocks on
-        // the peer's handshake echo, and the peer's own dials block on
-        // ours — so each rank's acceptor must already be serving while
-        // it dials, exactly as the blocking fabric's acceptor thread
-        // does. Established streams reach the driver over a channel.
         listener.set_nonblocking(true)?;
-        let (conn_tx, conn_rx) = unbounded::<OutboundConn>();
-        let driver = {
-            let inbox = inbox_tx.clone();
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
-            let reconnect_timeout = config.reconnect_timeout;
-            let max_frame = config.max_frame_bytes;
-            let listener = (n > 1).then_some(listener);
-            std::thread::spawn(move || {
-                driver_loop(
-                    listener,
-                    &conn_rx,
-                    &inbox,
-                    &shutdown,
-                    &stats,
-                    max_frame,
-                    reconnect_timeout,
-                );
-            })
-        };
-
-        let mut outbound_tx: Vec<Option<Sender<Bytes>>> = Vec::with_capacity(n);
-        for (peer, addr) in config.peers.iter().enumerate() {
+        let now = Instant::now();
+        let mut outbound = Vec::with_capacity(n);
+        let mut links = Vec::with_capacity(n.saturating_sub(1));
+        for (peer, name) in config.peers.iter().enumerate() {
             if peer == config.rank {
-                outbound_tx.push(None);
+                outbound.push(None);
                 continue;
             }
-            let established = dial(addr, config.connect_timeout).and_then(|mut stream| {
-                stream.set_nodelay(true)?;
-                shake_hands_as_dialer(&mut stream, config.connect_timeout)?;
-                stream.set_nonblocking(true)?;
-                Ok(stream)
-            });
-            match established {
-                Ok(stream) => {
-                    let (tx, rx) = unbounded::<Bytes>();
-                    outbound_tx.push(Some(tx));
-                    let _ = conn_tx.send(OutboundConn::established(addr.clone(), stream, rx));
-                }
-                Err(e) => {
-                    // unwind the half-built mesh before reporting
-                    shutdown.store(true, Ordering::SeqCst);
-                    drop(conn_tx);
-                    drop(outbound_tx);
-                    let _ = driver.join();
-                    return Err(e);
-                }
-            }
+            let addr = name.to_socket_addrs()?.next().ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("peer {name} resolves to no address"),
+                )
+            })?;
+            let (tx, rx) = unbounded::<Bytes>();
+            outbound.push(Some(tx));
+            links.push(OutboundConn::new(
+                name.clone(),
+                addr,
+                rx,
+                now,
+                config.connect_timeout,
+            ));
         }
-        drop(conn_tx);
-
-        Ok(PollTcpEndpoint {
+        let (waker, wake) = UnixStream::pair()?;
+        waker.set_nonblocking(true)?;
+        wake.set_nonblocking(true)?;
+        let (inbox_tx, inbox) = unbounded::<InboxEvent>();
+        let (setup_tx, setup_rx) = unbounded();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let stats = Arc::new(CommStats::default());
+        let driver = Driver {
+            listener: (n > 1).then_some(listener),
+            wake,
+            wake_ready: true,
+            listener_ready: true,
+            inbound: Vec::new(),
+            outbound: links,
+            inbox: inbox_tx.clone(),
+            shutdown: Arc::clone(&shutdown),
+            stats: Arc::clone(&stats),
+            max_frame: config.max_frame_bytes,
+            reconnect_timeout: config.reconnect_timeout,
+            setup: Some(setup_tx),
+        };
+        let endpoint = PollTcpEndpoint {
             id: config.rank,
             n,
-            outbound: outbound_tx,
+            outbound,
             inbox_tx,
             inbox,
             pending: VecDeque::new(),
@@ -199,9 +323,16 @@ impl PollTcpEndpoint {
             stats,
             recv_timeout: config.recv_timeout,
             shutdown,
-            driver: Some(driver),
+            waker,
+            driver: Some(thread::spawn(move || driver_loop(driver))),
             local_addr,
-        })
+        };
+        // on failure, dropping the endpoint tears the driver down
+        match setup_rx.recv() {
+            Ok(Ok(())) => Ok(endpoint),
+            Ok(Err(e)) => Err(e),
+            Err(_) => Err(io::Error::other("fabric driver exited during set-up")),
+        }
     }
 
     /// The address this rank's listener actually bound.
@@ -209,8 +340,11 @@ impl PollTcpEndpoint {
         self.local_addr
     }
 
-    /// Byte-level faults the driver has reported so far, in arrival
-    /// order (see [`crate::tcp::TcpEndpoint::link_faults`]).
+    /// Byte-level faults the driver has reported so far (torn frames,
+    /// CRC mismatches, hostile lengths, rejected handshakes), in arrival
+    /// order. Drains freshly reported faults first, so a caller polling
+    /// after an injected corruption sees it without an intervening
+    /// receive.
     pub fn link_faults(&mut self) -> &[LinkFault] {
         while let Ok(ev) = self.inbox.try_recv() {
             match ev {
@@ -225,17 +359,25 @@ impl PollTcpEndpoint {
     }
 
     /// Flush queued frames to every peer, close the outbound streams,
-    /// and join the driver. Called implicitly on drop.
+    /// and join the driver. Called implicitly on drop; explicit calls
+    /// make shutdown ordering visible in launcher code.
     pub fn close(mut self) {
         self.teardown();
     }
 
+    /// End the driver's readiness wait. A full wake socket already
+    /// holds a pending wake-up, so `WouldBlock` is success.
+    fn wake(&self) {
+        let _ = (&self.waker).write(&[1]);
+    }
+
     fn teardown(&mut self) {
         // Dropping the queues tells the driver to drain whatever is in
-        // flight, then FIN each peer and exit; only then raise the
-        // shutdown flag so inbound reading stops too.
+        // flight, then FIN each peer and exit; the shutdown flag stops
+        // inbound reading and abandons links that are down.
         self.outbound.clear();
         self.shutdown.store(true, Ordering::SeqCst);
+        self.wake();
         if let Some(h) = self.driver.take() {
             let _ = h.join();
         }
@@ -271,8 +413,9 @@ impl PollTcpEndpoint {
                     }
                     self.pending.push_back(m);
                 }
-                // a damaged frame behaves like a lost one, as on the
-                // blocking fabric
+                // a damaged frame behaves like a lost one: collect the
+                // typed report and keep waiting — the caller's timeout
+                // and resend layers handle the loss
                 Ok(InboxEvent::Fault(f)) => self.faults.push(f),
                 Err(RecvTimeoutError::Timeout) => continue, // errors above
                 Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Closed),
@@ -298,6 +441,8 @@ impl Transport for PollTcpEndpoint {
         assert!(to < self.n, "destination {to} out of range");
         let bytes = payload.wire_bytes();
         if to == self.id {
+            // loop back without touching a socket, like the channel
+            // fabric's self-send
             self.inbox_tx
                 .send(InboxEvent::Msg(Msg {
                     from: self.id,
@@ -315,6 +460,7 @@ impl Transport for PollTcpEndpoint {
                 .send(frame)
                 .map_err(|_| TransportError::PeerUnreachable { peer: to })?,
         }
+        self.wake();
         self.stats.record(bytes);
         Ok(())
     }
@@ -373,17 +519,116 @@ struct InboundConn {
     /// fault reports anchor to.
     offset: u64,
     handshaken: bool,
-    /// Our handshake preamble, written opportunistically (the peer's
-    /// dialer blocks on reading it, we must not block sending it).
-    echo_pending: Vec<u8>,
+    /// The driver's last wait reported this socket ready (or it is new).
+    ready: bool,
+    /// Index of the socket in the driver's last wait set.
+    poll_slot: Option<usize>,
+    /// Bytes of our handshake echo written so far (opportunistically:
+    /// the peer's dial waits on it, we must not block sending it).
     echo_off: usize,
 }
 
-/// One outbound peer: the live socket (when up), the frames the
-/// endpoint queued, and the redial state for a broken link.
+/// State of one outbound link.
+enum Link {
+    /// Handshaken and carrying frames.
+    Up(TcpStream),
+    /// A dial attempt in flight.
+    Dialing(Dial),
+    /// Down; the next dial attempt starts at `retry_at`.
+    Down { retry_at: Instant },
+    /// FIN sent, or the peer given up on.
+    Finished,
+}
+
+/// One nonblocking dial attempt: connect, write our preamble, read the
+/// peer's echo.
+struct Dial {
+    stream: TcpStream,
+    /// The driver's last wait reported this socket ready.
+    ready: bool,
+    /// The connect settled without a socket error.
+    connected: bool,
+    /// Bytes of our preamble written.
+    sent: usize,
+    echo: [u8; HANDSHAKE_BYTES],
+    /// Bytes of the peer's echo read.
+    got: usize,
+    deadline: Instant,
+}
+
+impl Dial {
+    /// The readiness that moves this attempt forward.
+    fn interest(&self) -> i16 {
+        if self.connected && self.sent == HANDSHAKE_BYTES {
+            POLLIN
+        } else {
+            POLLOUT
+        }
+    }
+
+    /// Advance the attempt as far as the socket allows without
+    /// blocking: `Ok(true)` once the peer's echo checks out. A
+    /// version-mismatched echo is an `InvalidData` error wrapping the
+    /// [`crate::codec::FrameError`].
+    fn advance(&mut self, now: Instant) -> io::Result<bool> {
+        if !self.connected {
+            if !self.ready {
+                return self.pending(now);
+            }
+            if let Some(e) = self.stream.take_error()? {
+                return Err(e);
+            }
+            self.connected = true;
+        }
+        let preamble = encode_handshake();
+        while self.sent < HANDSHAKE_BYTES {
+            match self.stream.write(&preamble[self.sent..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(k) => self.sent += k,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return self.pending(now),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        while self.got < HANDSHAKE_BYTES {
+            match self.stream.read(&mut self.echo[self.got..]) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "peer closed before echoing the handshake",
+                    ))
+                }
+                Ok(k) => self.got += k,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return self.pending(now),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        decode_handshake(&self.echo)
+            .map(|_| true)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+
+    /// Not done yet: fine until the attempt's deadline.
+    fn pending(&self, now: Instant) -> io::Result<bool> {
+        if now >= self.deadline {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "no handshake echo before the dial attempt's deadline",
+            ));
+        }
+        Ok(false)
+    }
+}
+
+/// One outbound peer: its link, the frames the endpoint queued, and the
+/// redial budget for a link that is down.
 struct OutboundConn {
-    addr: String,
-    stream: Option<TcpStream>,
+    /// The peer as configured, for reports.
+    name: String,
+    /// The peer as resolved at set-up.
+    addr: SocketAddr,
+    link: Link,
     /// Frame source from the endpoint; dropped to signal
     /// `PeerUnreachable` once the peer is given up on.
     rx: Option<Receiver<Bytes>>,
@@ -391,297 +636,368 @@ struct OutboundConn {
     queue: VecDeque<Bytes>,
     /// Bytes of the front frame already written (mid-frame resume).
     front_off: usize,
-    /// Redial pacing for a broken established link.
-    redial_deadline: Instant,
-    next_redial: Instant,
+    /// The link has been up at least once (set-up is done for it).
+    ever_up: bool,
+    /// The current outage's budget and when it runs out.
+    budget: Duration,
+    give_up_at: Instant,
     backoff: Duration,
-    /// FIN sent; nothing more to do for this peer.
-    finished: bool,
+    /// Why the latest dial attempt failed, for the give-up report.
+    last_error: Option<io::Error>,
+    /// Index of the dial socket in the driver's last wait set.
+    poll_slot: Option<usize>,
 }
 
 impl OutboundConn {
-    fn established(addr: String, stream: TcpStream, rx: Receiver<Bytes>) -> OutboundConn {
-        let now = Instant::now();
+    /// A link that has never been up: dial at once, within `budget`.
+    fn new(
+        name: String,
+        addr: SocketAddr,
+        rx: Receiver<Bytes>,
+        now: Instant,
+        budget: Duration,
+    ) -> OutboundConn {
         OutboundConn {
+            name,
             addr,
-            stream: Some(stream),
+            link: Link::Down { retry_at: now },
             rx: Some(rx),
             queue: VecDeque::new(),
             front_off: 0,
-            redial_deadline: now,
-            next_redial: now,
-            backoff: Duration::from_millis(20),
-            finished: false,
+            ever_up: false,
+            budget,
+            give_up_at: now + budget,
+            backoff: BACKOFF_MIN,
+            last_error: None,
+            poll_slot: None,
         }
     }
 
-    /// The link just broke: drop the dead socket and arm the redial
-    /// clock. Bytes the dead kernel socket had buffered are lost, which
-    /// the protocol retry layers absorb — same contract as the blocking
-    /// fabric's writer threads.
-    fn mark_broken(&mut self, reconnect_timeout: Duration) {
-        self.stream = None;
-        self.front_off = 0; // the partial frame died with the socket
-        if !self.queue.is_empty() {
-            self.queue.pop_front();
+    /// Move every frame the endpoint has queued into the write queue;
+    /// drop the receiver once the endpoint has hung up.
+    fn drain_endpoint(&mut self) {
+        let Some(rx) = &self.rx else { return };
+        loop {
+            match rx.try_recv() {
+                Ok(frame) => self.queue.push_back(frame),
+                Err(TryRecvError::Empty) => return,
+                Err(TryRecvError::Disconnected) => {
+                    self.rx = None;
+                    return;
+                }
+            }
         }
-        let now = Instant::now();
-        self.redial_deadline = now + reconnect_timeout;
-        self.next_redial = now;
-        self.backoff = Duration::from_millis(20);
     }
 
-    /// Give up on this peer: further sends surface `PeerUnreachable`.
-    fn give_up(&mut self) {
-        self.rx = None;
-        self.queue.clear();
+    /// Advance the link as far as its socket allows without blocking.
+    /// `Err` carries why the peer must be given up on.
+    fn step(&mut self, now: Instant, reconnect_timeout: Duration) -> io::Result<()> {
+        self.link = match std::mem::replace(&mut self.link, Link::Finished) {
+            Link::Up(mut stream) => {
+                match flush(&mut stream, &mut self.queue, &mut self.front_off) {
+                    Ok(()) => Link::Up(stream),
+                    Err(_) => self.mark_broken(now, reconnect_timeout),
+                }
+            }
+            Link::Dialing(mut dial) => match dial.advance(now) {
+                Ok(true) => {
+                    self.ever_up = true;
+                    Link::Up(dial.stream)
+                }
+                Ok(false) => Link::Dialing(dial),
+                // a version mismatch: retrying cannot help
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => return Err(e),
+                Err(e) => self.retry_later(now, e),
+            },
+            Link::Down { .. } if now >= self.give_up_at => {
+                let last = self.last_error.take();
+                return Err(io::Error::new(
+                    last.as_ref()
+                        .map_or(io::ErrorKind::TimedOut, io::Error::kind),
+                    format!(
+                        "dialing {} failed after {:?}: {}",
+                        self.name,
+                        self.budget,
+                        last.map_or_else(|| "no attempt finished".to_string(), |e| e.to_string())
+                    ),
+                ));
+            }
+            Link::Down { retry_at } if now >= retry_at => {
+                match sys::connect_nonblocking(&self.addr) {
+                    Ok(stream) => {
+                        let _ = stream.set_nodelay(true);
+                        Link::Dialing(Dial {
+                            stream,
+                            ready: false,
+                            connected: false,
+                            sent: 0,
+                            echo: [0; HANDSHAKE_BYTES],
+                            got: 0,
+                            deadline: (now + DIAL_ATTEMPT).min(self.give_up_at),
+                        })
+                    }
+                    Err(e) => self.retry_later(now, e),
+                }
+            }
+            idle => idle,
+        };
+        Ok(())
+    }
+
+    /// The link just broke: rewind the partly written front frame so the
+    /// next connection resends it whole, and arm the redial budget.
+    /// Frames the dead kernel socket had already accepted are lost,
+    /// which the protocol retry layers absorb.
+    fn mark_broken(&mut self, now: Instant, budget: Duration) -> Link {
         self.front_off = 0;
-        self.finished = true;
+        self.budget = budget;
+        self.give_up_at = now + budget;
+        self.backoff = BACKOFF_MIN;
+        Link::Down { retry_at: now }
+    }
+
+    /// A dial attempt failed: back off before the next one.
+    fn retry_later(&mut self, now: Instant, why: io::Error) -> Link {
+        self.last_error = Some(why);
+        let retry_at = now + self.backoff;
+        self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
+        Link::Down { retry_at }
+    }
+
+    /// When the driver must next look at this link without being woken
+    /// by a socket: a dial deadline, a retry, or the end of the budget.
+    fn timer(&self) -> Option<Instant> {
+        match &self.link {
+            Link::Dialing(dial) => Some(dial.deadline),
+            Link::Down { retry_at } => Some((*retry_at).min(self.give_up_at)),
+            Link::Up(_) | Link::Finished => None,
+        }
     }
 }
 
-/// The single-thread readiness loop. Sweeps: accept new inbound
-/// connections, read+parse every inbound socket, drain the endpoint's
-/// frame queues into per-peer write queues and flush them, pace
-/// redials for broken links. Sleeps [`IDLE_SLEEP`] only when a whole
-/// sweep moved no bytes.
-#[allow(clippy::too_many_lines)]
-fn driver_loop(
+/// Write queued frames until the socket would block. `Err`: the link
+/// broke.
+fn flush(
+    stream: &mut TcpStream,
+    queue: &mut VecDeque<Bytes>,
+    front_off: &mut usize,
+) -> io::Result<()> {
+    while let Some(front) = queue.front() {
+        match stream.write(&front[*front_off..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(k) => {
+                *front_off += k;
+                if *front_off == front.len() {
+                    queue.pop_front();
+                    *front_off = 0;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Everything the driver thread owns.
+struct Driver {
     listener: Option<TcpListener>,
-    new_conns: &Receiver<OutboundConn>,
-    inbox: &Sender<InboxEvent>,
-    shutdown: &AtomicBool,
-    stats: &CommStats,
+    /// The driver's end of the wake socket.
+    wake: UnixStream,
+    /// Readiness of the wake socket and the listener in the last wait.
+    wake_ready: bool,
+    listener_ready: bool,
+    inbound: Vec<InboundConn>,
+    outbound: Vec<OutboundConn>,
+    inbox: Sender<InboxEvent>,
+    shutdown: Arc<AtomicBool>,
+    stats: Arc<CommStats>,
     max_frame: usize,
     reconnect_timeout: Duration,
-) {
-    let mut outbound: Vec<OutboundConn> = Vec::new();
-    let mut inbound: Vec<InboundConn> = Vec::new();
+    /// Tells `connect_with_listener` how set-up ended: `Ok` once every
+    /// outbound link has come up, or the first link's failure. `None`
+    /// once reported.
+    setup: Option<Sender<io::Result<()>>>,
+}
+
+/// The driver thread: sweep every socket as far as it goes without
+/// blocking — accept, read and parse inbound, drain the endpoint's
+/// queues into the sockets, step the dial state machines — then sleep
+/// in one readiness wait until a socket, the wake socket or the next
+/// dial timer needs attention.
+fn driver_loop(mut d: Driver) {
     let mut chunk = vec![0u8; READ_CHUNK];
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
-        let mut progressed = false;
-        let shutting = shutdown.load(Ordering::SeqCst);
-
-        // adopt streams the connect path finished dialing
-        while let Ok(conn) = new_conns.try_recv() {
-            outbound.push(conn);
-            progressed = true;
+        let shutting = d.shutdown.load(Ordering::SeqCst);
+        if d.wake_ready {
+            let mut sink = [0u8; 64];
+            while matches!((&d.wake).read(&mut sink), Ok(64)) {}
         }
 
-        // --- accept ---
         if !shutting {
-            if let Some(l) = &listener {
-                loop {
-                    match l.accept() {
-                        Ok((stream, peer)) => {
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let _ = stream.set_nodelay(true);
-                            inbound.push(InboundConn {
-                                stream,
-                                peer,
-                                buf: Vec::new(),
-                                offset: 0,
-                                handshaken: false,
-                                echo_pending: encode_handshake().to_vec(),
-                                echo_off: 0,
-                            });
-                            progressed = true;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(_) => break,
-                    }
-                }
+            if d.listener_ready {
+                d.accept();
             }
-        }
-
-        // --- inbound: echo, read, parse ---
-        if !shutting {
             let mut i = 0;
-            while i < inbound.len() {
-                match pump_inbound(
-                    &mut inbound[i],
+            while i < d.inbound.len() {
+                if !d.inbound[i].ready {
+                    i += 1;
+                    continue;
+                }
+                let open = pump_inbound(
+                    &mut d.inbound[i],
                     &mut chunk,
-                    inbox,
-                    stats,
-                    max_frame,
-                    shutdown,
-                ) {
-                    PumpOutcome::Progress => {
-                        progressed = true;
-                        i += 1;
-                    }
-                    PumpOutcome::Idle => i += 1,
-                    PumpOutcome::Closed => {
-                        inbound.swap_remove(i);
-                        progressed = true;
-                    }
+                    &d.inbox,
+                    &d.stats,
+                    d.max_frame,
+                    &d.shutdown,
+                );
+                if open {
+                    i += 1;
+                } else {
+                    d.inbound.swap_remove(i);
                 }
             }
         }
 
-        // --- outbound: drain queues, flush, redial ---
-        for conn in &mut outbound {
-            if conn.finished {
-                continue;
-            }
-            // pull everything the endpoint has queued
-            let mut disconnected = false;
-            if let Some(rx) = &conn.rx {
-                loop {
-                    match rx.try_recv() {
-                        Ok(frame) => {
-                            conn.queue.push_back(frame);
-                            progressed = true;
-                        }
-                        Err(crossbeam::channel::TryRecvError::Empty) => break,
-                        Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                            disconnected = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            // flush the backpressure queue into the socket
-            if let Some(stream) = &mut conn.stream {
-                let mut broken = false;
-                while let Some(front) = conn.queue.front() {
-                    match stream.write(&front[conn.front_off..]) {
-                        Ok(0) => {
-                            broken = true;
-                            break;
-                        }
-                        Ok(k) => {
-                            conn.front_off += k;
-                            progressed = true;
-                            if conn.front_off == front.len() {
-                                conn.queue.pop_front();
-                                conn.front_off = 0;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            broken = true;
-                            break;
-                        }
-                    }
-                }
-                if broken {
-                    conn.mark_broken(reconnect_timeout);
-                    progressed = true;
-                }
-            } else if conn.rx.is_some() || !conn.queue.is_empty() {
-                // broken link with traffic still owed: pace the redials
-                let now = Instant::now();
-                if now >= conn.redial_deadline {
-                    if !shutdown.load(Ordering::SeqCst) {
-                        eprintln!(
-                            "selsync-net: reconnect to {} failed after {reconnect_timeout:?}",
-                            conn.addr
-                        );
-                    }
-                    conn.give_up();
-                } else if now >= conn.next_redial {
-                    match redial_once(&conn.addr) {
-                        RedialOutcome::Up(s) => {
-                            conn.stream = Some(s);
-                            progressed = true;
-                        }
-                        RedialOutcome::Fatal => {
-                            if !shutdown.load(Ordering::SeqCst) {
-                                eprintln!(
-                                    "selsync-net: reconnect to {}: handshake rejected",
-                                    conn.addr
-                                );
-                            }
-                            conn.give_up();
-                        }
-                        RedialOutcome::Retry => {
-                            conn.next_redial = Instant::now() + conn.backoff;
-                            conn.backoff = (conn.backoff * 2).min(Duration::from_millis(500));
-                        }
-                    }
-                }
-            }
-            // endpoint gone and everything flushed: FIN and finish
-            if disconnected {
-                conn.rx = None;
-            }
-            if conn.rx.is_none() && conn.queue.is_empty() && !conn.finished {
-                if let Some(s) = &conn.stream {
-                    let _ = s.shutdown(Shutdown::Write);
-                }
-                conn.finished = true;
+        let now = Instant::now();
+        for i in 0..d.outbound.len() {
+            d.pump_outbound(i, now, shutting);
+        }
+        if d.setup.is_some() && d.outbound.iter().all(|c| c.ever_up) {
+            if let Some(setup) = d.setup.take() {
+                let _ = setup.send(Ok(()));
             }
         }
-
-        if outbound.iter().all(|c| c.finished) && shutting {
+        if shutting && d.outbound.iter().all(|c| matches!(c.link, Link::Finished)) {
             return;
         }
-        if !progressed {
-            // lint:allow(poll-blocking): deliberate idle backoff — IDLE_SLEEP
-            // is 500µs, paid only on sweeps where every connection was quiet
-            std::thread::sleep(IDLE_SLEEP);
+
+        let timeout = d.wait_set(&mut fds, shutting);
+        if let Err(e) = sys::wait_ready(&mut fds, timeout) {
+            eprintln!("selsync-net: readiness wait failed, fabric driver exiting: {e}");
+            return;
         }
+        d.note_ready(&fds);
     }
 }
 
-/// What one inbound sweep step did.
-enum PumpOutcome {
-    Progress,
-    Idle,
-    /// Clean EOF, fault, or local shutdown: the connection is done.
-    Closed,
-}
-
-/// One redial attempt's result.
-enum RedialOutcome {
-    Up(TcpStream),
-    /// Version mismatch — retrying cannot help.
-    Fatal,
-    Retry,
-}
-
-/// One short, bounded redial attempt (so the sweep never stalls long).
-fn redial_once(addr: &str) -> RedialOutcome {
-    let Ok(sock_addr) = addr.parse::<SocketAddr>() else {
-        // hostname peers resolve through the blocking dial path
-        // lint:allow(poll-blocking): one attempt capped at REDIAL_ATTEMPT
-        // (100ms); the sweep stalls at most one bounded attempt per pass
-        return match dial(addr, REDIAL_ATTEMPT) {
-            Ok(s) => finish_redial(s),
-            Err(_) => RedialOutcome::Retry,
-        };
-    };
-    // lint:allow(poll-blocking): bounded by REDIAL_ATTEMPT (100ms) and
-    // only reached on a down peer whose next_redial backoff expired
-    match TcpStream::connect_timeout(&sock_addr, REDIAL_ATTEMPT) {
-        Ok(s) => finish_redial(s),
-        Err(_) => RedialOutcome::Retry,
-    }
-}
-
-fn finish_redial(mut s: TcpStream) -> RedialOutcome {
-    let _ = s.set_nodelay(true);
-    // lint:allow(poll-blocking): handshake read/write deadline is capped
-    // at REDIAL_ATTEMPT (100ms) via the socket timeouts set inside
-    match shake_hands_as_dialer(&mut s, REDIAL_ATTEMPT) {
-        Ok(()) => {
-            if s.set_nonblocking(true).is_err() {
-                return RedialOutcome::Retry;
+impl Driver {
+    /// Take every pending inbound connection off the listener.
+    fn accept(&mut self) {
+        let Some(l) = &self.listener else { return };
+        while let Ok((stream, peer)) = l.accept() {
+            if stream.set_nonblocking(true).is_err() {
+                continue;
             }
-            RedialOutcome::Up(s)
+            let _ = stream.set_nodelay(true);
+            self.inbound.push(InboundConn {
+                stream,
+                peer,
+                buf: Vec::new(),
+                offset: 0,
+                handshaken: false,
+                ready: true,
+                poll_slot: None,
+                echo_off: 0,
+            });
         }
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => RedialOutcome::Fatal,
-        Err(_) => RedialOutcome::Retry,
+    }
+
+    /// Move outbound link `i` forward: queue the endpoint's frames, step
+    /// the link, and FIN it once the endpoint is gone and everything is
+    /// flushed. Once shutting down, a link that is not up is abandoned
+    /// rather than redialed.
+    fn pump_outbound(&mut self, i: usize, now: Instant, shutting: bool) {
+        let conn = &mut self.outbound[i];
+        if matches!(conn.link, Link::Finished) {
+            return;
+        }
+        conn.drain_endpoint();
+        let stepped = if shutting && !matches!(conn.link, Link::Up(_)) {
+            Err(io::Error::other("fabric shut down"))
+        } else {
+            conn.step(now, self.reconnect_timeout)
+        };
+        if let Err(why) = stepped {
+            conn.link = Link::Finished;
+            conn.rx = None;
+            conn.queue.clear();
+            conn.front_off = 0;
+            if let Some(setup) = self.setup.take() {
+                let _ = setup.send(Err(why));
+            } else if !shutting {
+                eprintln!("selsync-net: giving up on {}: {why}", conn.name);
+            }
+            return;
+        }
+        if conn.rx.is_none() && conn.queue.is_empty() {
+            if let Link::Up(s) = &conn.link {
+                let _ = s.shutdown(Shutdown::Write);
+            }
+            conn.link = Link::Finished;
+        }
+    }
+
+    /// Fill `fds` with every socket that has work pending, and return
+    /// how long the wait may last before a dial timer is due (`None`:
+    /// indefinitely).
+    fn wait_set(&mut self, fds: &mut Vec<PollFd>, shutting: bool) -> Option<Duration> {
+        fds.clear();
+        fds.push(PollFd::new(&self.wake, POLLIN));
+        if !shutting {
+            if let Some(l) = &self.listener {
+                fds.push(PollFd::new(l, POLLIN));
+            }
+            for c in &mut self.inbound {
+                let echo_owed = c.echo_off < HANDSHAKE_BYTES;
+                c.poll_slot = Some(fds.len());
+                fds.push(PollFd::new(
+                    &c.stream,
+                    if echo_owed { POLLIN | POLLOUT } else { POLLIN },
+                ));
+            }
+        }
+        for c in &mut self.outbound {
+            c.poll_slot = None;
+            match &c.link {
+                Link::Up(s) if !c.queue.is_empty() => fds.push(PollFd::new(s, POLLOUT)),
+                Link::Dialing(dial) => {
+                    c.poll_slot = Some(fds.len());
+                    fds.push(PollFd::new(&dial.stream, dial.interest()));
+                }
+                _ => {}
+            }
+        }
+        let due = self.outbound.iter().filter_map(OutboundConn::timer).min();
+        due.map(|t| t.saturating_duration_since(Instant::now()))
+    }
+
+    /// Record what the wait on `fds` (built by [`Driver::wait_set`])
+    /// reported, so the next sweep touches only sockets with news.
+    fn note_ready(&mut self, fds: &[PollFd]) {
+        let ready = |slot: Option<usize>| slot.is_some_and(|k| fds[k].ready());
+        self.wake_ready = fds[0].ready();
+        // the listener, when watched, sits right after the wake socket
+        self.listener_ready = self.listener.is_some() && fds.get(1).is_some_and(PollFd::ready);
+        for c in &mut self.inbound {
+            c.ready = ready(c.poll_slot.take());
+        }
+        for c in &mut self.outbound {
+            let slot = c.poll_slot.take();
+            if let Link::Dialing(dial) = &mut c.link {
+                dial.ready = ready(slot);
+            }
+        }
     }
 }
 
 /// Service one inbound connection: push our handshake echo, read
 /// whatever the socket has (up to [`READ_CHUNK`]), and peel completed
-/// handshakes/frames off the buffer.
+/// handshakes/frames off the buffer. `false`: the connection is done
+/// (clean EOF, fault, or the endpoint is gone).
 fn pump_inbound(
     conn: &mut InboundConn,
     chunk: &mut [u8],
@@ -689,47 +1005,31 @@ fn pump_inbound(
     stats: &CommStats,
     max_frame: usize,
     shutdown: &AtomicBool,
-) -> PumpOutcome {
-    let mut progressed = false;
-
+) -> bool {
     // write our half of the preamble (opportunistically, never blocking)
-    while conn.echo_off < conn.echo_pending.len() {
-        match conn.stream.write(&conn.echo_pending[conn.echo_off..]) {
-            Ok(0) => return PumpOutcome::Closed,
-            Ok(k) => {
-                conn.echo_off += k;
-                progressed = true;
-            }
+    let echo = encode_handshake();
+    while conn.echo_off < HANDSHAKE_BYTES {
+        match conn.stream.write(&echo[conn.echo_off..]) {
+            Ok(0) => return false,
+            Ok(k) => conn.echo_off += k,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return PumpOutcome::Closed,
+            Err(_) => return false,
         }
     }
 
-    // read what the socket has
+    // one read per wake-up: a socket holding more stays readable and
+    // wakes the driver again, after the other connections had a turn
     let mut eof = false;
-    let mut read_total = 0;
     loop {
         match conn.stream.read(chunk) {
-            Ok(0) => {
-                eof = true;
-                break;
-            }
-            Ok(k) => {
-                conn.buf.extend_from_slice(&chunk[..k]);
-                read_total += k;
-                progressed = true;
-                if read_total >= READ_CHUNK {
-                    break; // fairness: let the other connections run
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                eof = true; // connection reset mid-stream
-                break;
-            }
+            Ok(0) => eof = true,
+            Ok(k) => conn.buf.extend_from_slice(&chunk[..k]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(_) => eof = true, // connection reset mid-stream
         }
+        break;
     }
 
     let report = |offset: u64, detail: &str| {
@@ -748,19 +1048,14 @@ fn pump_inbound(
             }
             let mut preamble = [0u8; HANDSHAKE_BYTES];
             preamble.copy_from_slice(&conn.buf[consumed..consumed + HANDSHAKE_BYTES]);
-            match decode_handshake(&preamble) {
-                Ok(_) => {
-                    conn.handshaken = true;
-                    consumed += HANDSHAKE_BYTES;
-                    conn.offset += HANDSHAKE_BYTES as u64;
-                    progressed = true;
-                    continue;
-                }
-                Err(e) => {
-                    report(0, &format!("handshake rejected: {e}"));
-                    return PumpOutcome::Closed;
-                }
+            if let Err(e) = decode_handshake(&preamble) {
+                report(0, &format!("handshake rejected: {e}"));
+                return false;
             }
+            conn.handshaken = true;
+            consumed += HANDSHAKE_BYTES;
+            conn.offset += HANDSHAKE_BYTES as u64;
+            continue;
         }
         if avail < 4 {
             break;
@@ -776,7 +1071,7 @@ fn pump_inbound(
                 conn.offset,
                 &format!("hostile frame length {len} exceeds the {max_frame}-byte cap"),
             );
-            return PumpOutcome::Closed;
+            return false;
         }
         if avail < 4 + len {
             break; // partial frame: wait for more bytes
@@ -784,18 +1079,19 @@ fn pump_inbound(
         match decode_after_len(&conn.buf[consumed + 4..consumed + 4 + len]) {
             Ok(msg) => {
                 if inbox.send(InboxEvent::Msg(msg)).is_err() {
-                    return PumpOutcome::Closed; // endpoint gone
+                    return false; // endpoint gone
                 }
                 consumed += 4 + len;
                 conn.offset += 4 + len as u64;
-                progressed = true;
             }
             Err(e) => {
-                // CRC mismatch or structural damage: frame lost, stream
-                // no longer trustworthy — tear the connection down
+                // CRC mismatch or structural damage: the whole frame
+                // (prefix included) is lost, and a stream that produced
+                // it cannot be trusted to still be frame-aligned — tear
+                // the connection down and let the peer redial
                 stats.record_corrupt(4 + len as u64);
                 report(conn.offset, &format!("frame rejected: {e}"));
-                return PumpOutcome::Closed;
+                return false;
             }
         }
     }
@@ -803,82 +1099,45 @@ fn pump_inbound(
         conn.buf.drain(..consumed);
     }
 
-    if eof {
-        if conn.buf.is_empty() {
-            return PumpOutcome::Closed; // clean EOF at a frame boundary
-        }
-        // torn frame: the peer died mid-frame (or mid-handshake)
-        let (filled, detail) = if !conn.handshaken {
-            (
-                conn.buf.len(),
-                format!(
-                    "connection died {} bytes into the {HANDSHAKE_BYTES}-byte handshake",
-                    conn.buf.len()
-                ),
-            )
-        } else if conn.buf.len() < 4 {
-            (
-                conn.buf.len(),
-                format!(
-                    "torn frame: {} of 4 length-prefix bytes, then EOF",
-                    conn.buf.len()
-                ),
-            )
-        } else {
-            let len = u32::from_be_bytes(conn.buf[..4].try_into().unwrap_or([0; 4])) as usize;
-            (
-                conn.buf.len(),
-                format!(
-                    "torn frame: {} of {len} body bytes, then EOF",
-                    conn.buf.len() - 4
-                ),
-            )
-        };
-        stats.record_corrupt(filled as u64);
-        report(conn.offset + filled as u64, &detail);
-        return PumpOutcome::Closed;
+    if !eof {
+        return true;
     }
-    if progressed {
-        PumpOutcome::Progress
+    if conn.buf.is_empty() {
+        return false; // clean EOF at a frame boundary
+    }
+    // torn frame: the peer died mid-frame (or mid-handshake)
+    let filled = conn.buf.len();
+    let detail = if !conn.handshaken {
+        format!("connection died {filled} bytes into the {HANDSHAKE_BYTES}-byte handshake")
+    } else if filled < 4 {
+        format!("torn frame: {filled} of 4 length-prefix bytes, then EOF")
     } else {
-        PumpOutcome::Idle
-    }
+        let len = u32::from_be_bytes(conn.buf[..4].try_into().unwrap_or([0; 4]));
+        format!("torn frame: {} of {len} body bytes, then EOF", filled - 4)
+    };
+    stats.record_corrupt(filled as u64);
+    report(conn.offset + filled as u64, &detail);
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
+    use crate::codec::{FrameError, PROTOCOL_VERSION};
 
-    /// Bind `n` loopback listeners on ephemeral ports and connect a
-    /// full mesh of poll endpoints over them.
-    fn loopback_fabric(n: usize) -> Vec<PollTcpEndpoint> {
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-            .collect();
-        let peers: Vec<String> = listeners
-            .iter()
-            .map(|l| l.local_addr().unwrap().to_string())
-            .collect();
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(rank, listener)| {
-                let mut config = TcpFabricConfig::new(rank, peers.clone());
-                config.recv_timeout = Duration::from_secs(20);
-                thread::spawn(move || {
-                    PollTcpEndpoint::connect_with_listener(config, listener).unwrap()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    fn mesh(n: usize) -> Vec<PollTcpEndpoint> {
+        loopback_mesh(n, |c| c.recv_timeout = Duration::from_secs(20)).unwrap()
+    }
+
+    fn pair() -> (PollTcpEndpoint, PollTcpEndpoint) {
+        let mut eps = mesh(2);
+        let b = eps.pop().unwrap();
+        (eps.pop().unwrap(), b)
     }
 
     #[test]
     fn point_to_point_and_self_send() {
-        let mut eps = loopback_fabric(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
+        let (mut a, mut b) = pair();
         b.send(0, 1, Payload::Params(vec![1.0, -2.0])).unwrap();
         let m = a.recv_tagged(Some(1), 1).unwrap();
         assert_eq!(m.from, 1);
@@ -894,9 +1153,7 @@ mod tests {
 
     #[test]
     fn tagged_receive_buffers_out_of_order() {
-        let mut eps = loopback_fabric(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
+        let (mut a, mut b) = pair();
         b.send(0, 2, Payload::Control(2)).unwrap();
         b.send(0, 1, Payload::Control(1)).unwrap();
         assert_eq!(a.recv_tagged(None, 1).unwrap().payload, Payload::Control(1));
@@ -910,11 +1167,15 @@ mod tests {
 
     #[test]
     fn byte_accounting_matches_encoded_frames() {
-        let mut eps = loopback_fabric(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
+        let (mut a, mut b) = pair();
         let payloads = [
             Payload::Params(vec![0.5; 33]),
+            Payload::Flags(vec![1; 5]),
+            Payload::Samples {
+                data: vec![1.0; 12],
+                targets: vec![0, 1, 2],
+                dims: vec![2, 2, 3],
+            },
             Payload::Bucket {
                 bucket: 1,
                 n_buckets: 3,
@@ -946,8 +1207,7 @@ mod tests {
     #[test]
     fn mesh_ring_traffic_across_threads() {
         let n = 4;
-        let eps = loopback_fabric(n);
-        let handles: Vec<_> = eps
+        let handles: Vec<_> = mesh(n)
             .into_iter()
             .map(|mut ep| {
                 thread::spawn(move || {
@@ -974,9 +1234,7 @@ mod tests {
     /// drains completely while the receiver slowly catches up.
     #[test]
     fn write_backpressure_queue_drains_a_large_burst() {
-        let mut eps = loopback_fabric(2);
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
+        let (mut a, mut b) = pair();
         let big = vec![1.5f32; 128 * 1024]; // 512 KiB per frame
         let frames = 32u64; // ~16 MiB total, far beyond SO_SNDBUF
         for i in 0..frames {
@@ -992,9 +1250,7 @@ mod tests {
 
     #[test]
     fn recv_watchdog_is_an_error_not_a_panic() {
-        let mut eps = loopback_fabric(2);
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
+        let (mut a, b) = pair();
         let err = a
             .recv_deadline(None, Some(42), Duration::from_millis(50))
             .unwrap_err();
@@ -1005,169 +1261,204 @@ mod tests {
 
     #[test]
     fn send_after_close_is_an_error_not_a_panic() {
-        let mut eps = loopback_fabric(2);
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
+        let (mut a, b) = pair();
         a.teardown();
         let err = a.send(1, 0, Payload::Control(1)).unwrap_err();
         assert_eq!(err, TransportError::Closed);
         b.close();
     }
 
-    /// The poll fabric speaks the exact wire protocol of the blocking
-    /// fabric: a mixed mesh (one blocking rank, one poll rank)
-    /// exchanges traffic transparently.
-    #[test]
-    fn interoperates_with_the_blocking_fabric() {
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peers = vec![
-            l0.local_addr().unwrap().to_string(),
-            l1.local_addr().unwrap().to_string(),
-        ];
-        let cfg0 = TcpFabricConfig::new(0, peers.clone());
-        let cfg1 = TcpFabricConfig::new(1, peers);
-        let t0 = thread::spawn(move || {
-            crate::tcp::TcpEndpoint::connect_with_listener(cfg0, l0).unwrap()
-        });
-        let t1 = thread::spawn(move || PollTcpEndpoint::connect_with_listener(cfg1, l1).unwrap());
-        let mut blocking = t0.join().unwrap();
-        let mut polled = t1.join().unwrap();
-        blocking
-            .send(1, 5, Payload::Grads(vec![0.25, -0.75]))
-            .unwrap();
-        assert_eq!(
-            polled.recv_tagged(Some(0), 5).unwrap().payload,
-            Payload::Grads(vec![0.25, -0.75])
-        );
-        polled
-            .send(
-                0,
-                6,
-                Payload::SignGrad {
-                    len: 5,
-                    scale: 0.5,
-                    bits: vec![0b10101],
-                },
-            )
-            .unwrap();
-        assert_eq!(
-            blocking.recv_tagged(Some(1), 6).unwrap().payload,
-            Payload::SignGrad {
-                len: 5,
-                scale: 0.5,
-                bits: vec![0b10101],
-            }
-        );
-        polled.close();
-        blocking.close();
+    /// Answer the SelSync preamble on a raw test-controlled socket, the
+    /// way a real acceptor would.
+    fn raw_handshake(conn: &mut TcpStream) {
+        let mut preamble = [0u8; HANDSHAKE_BYTES];
+        conn.read_exact(&mut preamble).unwrap();
+        decode_handshake(&preamble).unwrap();
+        conn.write_all(&encode_handshake()).unwrap();
     }
 
-    /// A CRC-corrupted frame surfaces as a typed `LinkFault` with the
-    /// stream offset, tallies `corrupt_messages`, and never decodes —
-    /// the same contract the blocking fabric's torn-frame suite proves.
-    #[test]
-    fn corrupt_frame_is_a_typed_fault_not_a_message() {
-        // 2-rank fabric where the test plays rank 1 over raw sockets:
-        // the answer thread completes rank 0's outbound handshake, then
-        // the test dials rank 0's listener directly to inject damage.
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let raw = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peers = vec![
-            l0.local_addr().unwrap().to_string(),
-            raw.local_addr().unwrap().to_string(),
-        ];
-        let mut cfg = TcpFabricConfig::new(0, peers);
-        cfg.recv_timeout = Duration::from_secs(5);
-        let answer = thread::spawn(move || {
-            let (mut s, _) = raw.accept().unwrap();
-            let mut preamble = [0u8; HANDSHAKE_BYTES];
-            s.read_exact(&mut preamble).unwrap();
-            decode_handshake(&preamble).unwrap();
-            s.write_all(&encode_handshake()).unwrap();
-            s
-        });
-        let mut ep = PollTcpEndpoint::connect_with_listener(cfg, l0).unwrap();
-        let _peer_side = answer.join().unwrap();
-
-        // dial rank 0's listener raw and send a handshake + a frame with
-        // a flipped CRC byte, then a clean frame on a fresh connection
-        let addr = ep.local_addr().to_string();
-        let mut evil = TcpStream::connect(&addr).unwrap();
-        evil.write_all(&encode_handshake()).unwrap();
-        let mut good = encode_frame(1, 9, &Payload::Control(9)).to_vec();
-        let last = good.len() - 1;
-        good[last] ^= 0xFF; // break the CRC trailer
-        evil.write_all(&good).unwrap();
-        evil.flush().unwrap();
-
-        // the fault arrives instead of a message
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let faults = ep.link_faults();
-            if !faults.is_empty() {
-                assert!(matches!(faults[0].error, TransportError::Protocol(_)));
-                assert_eq!(faults[0].offset, HANDSHAKE_BYTES as u64);
-                break;
-            }
-            assert!(Instant::now() < deadline, "fault never reported");
-            thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(ep.stats().corrupt_messages(), 1);
-
-        // the damaged connection is torn down; a fresh one still works
-        let mut clean = TcpStream::connect(&addr).unwrap();
-        clean.write_all(&encode_handshake()).unwrap();
-        clean
-            .write_all(&encode_frame(1, 10, &Payload::Control(10)))
-            .unwrap();
-        let m = ep
-            .recv_deadline(None, Some(10), Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(m.payload, Payload::Control(10));
-        ep.close();
+    /// Read one wire frame (length prefix + body) off a raw socket.
+    fn read_raw_frame(stream: &mut TcpStream) -> io::Result<Msg> {
+        let mut len_bytes = [0u8; 4];
+        stream.read_exact(&mut len_bytes)?;
+        let mut body = vec![0u8; u32::from_be_bytes(len_bytes) as usize];
+        stream.read_exact(&mut body)?;
+        decode_after_len(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
-    /// A hostile length prefix is rejected before any allocation.
-    #[test]
-    fn hostile_length_prefix_is_rejected() {
+    /// Rank 0 as a real endpoint whose only peer, rank 1, is a raw
+    /// listener the test controls. Returns the endpoint, rank 1's
+    /// accepted set-up connection (handshake answered) and its listener.
+    fn endpoint_with_raw_peer(
+        tune: impl FnOnce(&mut TcpFabricConfig),
+    ) -> (PollTcpEndpoint, TcpStream, TcpListener) {
         let raw = TcpListener::bind("127.0.0.1:0").unwrap();
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let peers = vec![
             l0.local_addr().unwrap().to_string(),
             raw.local_addr().unwrap().to_string(),
         ];
-        let mut cfg = TcpFabricConfig::new(0, peers);
-        cfg.recv_timeout = Duration::from_secs(5);
-        cfg.max_frame_bytes = 1024;
+        let mut config = TcpFabricConfig::new(0, peers);
+        tune(&mut config);
         let answer = thread::spawn(move || {
+            let (mut s, _) = raw.accept().unwrap();
+            raw_handshake(&mut s);
+            (s, raw)
+        });
+        let ep = PollTcpEndpoint::connect_with_listener(config, l0).unwrap();
+        let (conn, raw) = answer.join().unwrap();
+        (ep, conn, raw)
+    }
+
+    /// A write failure must not lose the frame: the link goes down with
+    /// the failed frame rewound to its start, still at the queue front,
+    /// so the next connection resends it whole.
+    #[test]
+    fn broken_link_keeps_the_frame_whose_write_failed() {
+        let (_tx, rx) = unbounded();
+        let now = Instant::now();
+        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let mut conn = OutboundConn::new("peer".into(), addr, rx, now, Duration::ZERO);
+        let first = Bytes::copy_from_slice(b"first frame");
+        conn.queue.push_back(first.clone());
+        conn.queue.push_back(Bytes::copy_from_slice(b"second"));
+        conn.front_off = 3; // the socket died three bytes into `first`
+        let later = now + Duration::from_millis(5);
+        let link = conn.mark_broken(later, Duration::from_secs(15));
+        assert!(matches!(link, Link::Down { retry_at } if retry_at == later));
+        assert_eq!(conn.queue.len(), 2);
+        assert_eq!(conn.queue.front(), Some(&first));
+        assert_eq!(conn.front_off, 0);
+        assert_eq!(conn.give_up_at, later + Duration::from_secs(15));
+    }
+
+    /// A broken established link is redialed by the driver: drop the
+    /// first accepted connection mid-run and frames keep arriving on a
+    /// second one — sends never surface `PeerUnreachable`.
+    #[test]
+    fn writer_reconnects_after_peer_restart() {
+        let (mut ep, mut conn1, raw) =
+            endpoint_with_raw_peer(|c| c.reconnect_timeout = Duration::from_secs(10));
+        ep.send(1, 7, Payload::Control(7)).unwrap();
+        assert_eq!(read_raw_frame(&mut conn1).unwrap().tag, 7);
+
+        // "crash" the peer: kill the established connection
+        conn1.shutdown(Shutdown::Both).unwrap();
+        drop(conn1);
+
+        // keep sending until the driver notices the dead link and
+        // redials; the listener is still bound, so the redial lands here
+        let (tx, rx) = std::sync::mpsc::channel();
+        let accept_second = thread::spawn(move || {
+            let conn = raw.accept().map(|(mut s, _)| {
+                raw_handshake(&mut s);
+                s
+            });
+            tx.send(()).ok();
+            conn
+        });
+        let mut probes = 0u64;
+        while rx.try_recv().is_err() {
+            probes += 1;
+            assert!(probes < 200, "driver never redialed the restarted peer");
+            ep.send(1, 100 + probes, Payload::Control(probes)).unwrap();
+            thread::sleep(Duration::from_millis(25));
+        }
+        let mut conn2 = accept_second.join().unwrap().unwrap();
+
+        // everything sent after the reconnect arrives on the new link
+        ep.send(1, 999, Payload::Params(vec![1.0, 2.0])).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let m = read_raw_frame(&mut conn2).unwrap();
+            if m.tag == 999 {
+                assert_eq!(m.payload, Payload::Params(vec![1.0, 2.0]));
+                break;
+            }
+            assert!(Instant::now() < deadline, "tag 999 never arrived");
+        }
+        ep.close();
+    }
+
+    /// `close()` on an endpoint owing frames to a dead peer abandons the
+    /// redial instead of waiting out `reconnect_timeout` (15 s here).
+    #[test]
+    fn close_abandons_redials_to_a_dead_peer() {
+        let (mut ep, conn, raw) = endpoint_with_raw_peer(|_| {});
+        drop(raw); // nobody will answer a redial
+        conn.shutdown(Shutdown::Both).unwrap();
+        drop(conn);
+        for tag in 0..20 {
+            let _ = ep.send(1, tag, Payload::Control(tag));
+            thread::sleep(Duration::from_millis(5));
+        }
+        let start = Instant::now();
+        ep.close();
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "close took {took:?}");
+    }
+
+    /// Mixed protocol versions must fail the connect, fast and typed:
+    /// the dialer gets an `InvalidData` error wrapping
+    /// `FrameError::VersionMismatch`, not a hang or a garbled fabric.
+    #[test]
+    fn mixed_versions_fail_the_connect_handshake() {
+        let raw = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peers = vec![
+            l0.local_addr().unwrap().to_string(),
+            raw.local_addr().unwrap().to_string(),
+        ];
+        let mut config = TcpFabricConfig::new(0, peers);
+        config.connect_timeout = Duration::from_secs(5);
+        let future_peer = thread::spawn(move || {
             let (mut s, _) = raw.accept().unwrap();
             let mut preamble = [0u8; HANDSHAKE_BYTES];
             s.read_exact(&mut preamble).unwrap();
-            s.write_all(&encode_handshake()).unwrap();
+            // echo a preamble from one protocol version ahead
+            let mut echo = encode_handshake();
+            echo[4..6].copy_from_slice(&(PROTOCOL_VERSION + 1).to_be_bytes());
+            s.write_all(&echo).unwrap();
             s
         });
-        let mut ep = PollTcpEndpoint::connect_with_listener(cfg, l0).unwrap();
-        drop(answer.join().unwrap());
-
-        let mut evil = TcpStream::connect(ep.local_addr()).unwrap();
-        evil.write_all(&encode_handshake()).unwrap();
-        evil.write_all(&u32::MAX.to_be_bytes()).unwrap(); // 4 GiB "frame"
-        evil.flush().unwrap();
-
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let faults = ep.link_faults();
-            if !faults.is_empty() {
-                let TransportError::Protocol(detail) = &faults[0].error else {
-                    panic!("expected a Protocol fault");
-                };
-                assert!(detail.contains("hostile frame length"), "{detail}");
-                break;
+        let start = Instant::now();
+        let err = match PollTcpEndpoint::connect_with_listener(config, l0) {
+            Err(e) => e,
+            Ok(_) => panic!("connect accepted a mismatched protocol version"),
+        };
+        assert!(start.elapsed() < Duration::from_secs(5), "not fast");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let inner = err
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<FrameError>())
+            .expect("typed FrameError inside the io::Error");
+        assert_eq!(
+            *inner,
+            FrameError::VersionMismatch {
+                ours: PROTOCOL_VERSION,
+                theirs: PROTOCOL_VERSION + 1,
             }
-            assert!(Instant::now() < deadline, "fault never reported");
-            thread::sleep(Duration::from_millis(10));
-        }
-        ep.close();
+        );
+        drop(future_peer.join().unwrap());
+    }
+
+    #[test]
+    fn dial_gives_up_after_timeout() {
+        // a bound-then-dropped port is very likely unreachable
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+            .to_string();
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut config = TcpFabricConfig::new(0, vec![l0.local_addr().unwrap().to_string(), dead]);
+        config.connect_timeout = Duration::from_millis(300);
+        let start = Instant::now();
+        let err = match PollTcpEndpoint::connect_with_listener(config, l0) {
+            Err(e) => e,
+            Ok(_) => panic!("connected to a dead port"),
+        };
+        assert!(err.to_string().contains("failed after"), "{err}");
+        assert!(start.elapsed() < Duration::from_secs(5));
     }
 }

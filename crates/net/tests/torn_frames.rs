@@ -1,43 +1,33 @@
-//! Torn-frame sweep against the real TCP reader: a raw connection
-//! delivers an encoded frame truncated at every possible byte
-//! boundary, and each cut must surface as a typed link fault carrying
+//! Torn-frame sweep against the real TCP fabric's inbound parser: a
+//! raw connection delivers an encoded frame truncated at every possible
+//! byte boundary, and each cut must surface as a typed link fault carrying
 //! the peer address and stream byte offset — never a panic, never a
 //! silent generic disconnect. Plus: CRC damage and hostile length
 //! prefixes on the wire are typed and tallied the same way.
 
 use selsync_comm::{Payload, Transport, TransportError};
-use selsync_net::{encode_frame, encode_handshake, TcpEndpoint, TcpFabricConfig, HANDSHAKE_BYTES};
+use selsync_net::{
+    encode_frame, encode_handshake, loopback_mesh, PollTcpEndpoint, HANDSHAKE_BYTES,
+};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// A two-rank loopback fabric; rank 0 is the observation point.
-fn fabric2(max_frame_bytes: usize) -> (TcpEndpoint, TcpEndpoint) {
-    let listeners: Vec<TcpListener> = (0..2)
-        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-        .collect();
-    let peers: Vec<String> = listeners
-        .iter()
-        .map(|l| l.local_addr().unwrap().to_string())
-        .collect();
-    let mut handles = Vec::new();
-    for (rank, listener) in listeners.into_iter().enumerate() {
-        let mut config = TcpFabricConfig::new(rank, peers.clone());
-        config.recv_timeout = Duration::from_secs(20);
-        config.max_frame_bytes = max_frame_bytes;
-        handles.push(thread::spawn(move || {
-            TcpEndpoint::connect_with_listener(config, listener).unwrap()
-        }));
-    }
-    let b = handles.pop().unwrap().join().unwrap();
-    let a = handles.pop().unwrap().join().unwrap();
-    (a, b)
+fn fabric2(max_frame_bytes: usize) -> (PollTcpEndpoint, PollTcpEndpoint) {
+    let mut eps = loopback_mesh(2, |c| {
+        c.recv_timeout = Duration::from_secs(20);
+        c.max_frame_bytes = max_frame_bytes;
+    })
+    .unwrap();
+    let b = eps.pop().unwrap();
+    (eps.pop().unwrap(), b)
 }
 
 /// Open a raw connection into `ep`'s listener and complete the
 /// protocol preamble, returning a stream ready for frame bytes.
-fn raw_dial(ep: &TcpEndpoint) -> TcpStream {
+fn raw_dial(ep: &PollTcpEndpoint) -> TcpStream {
     let mut s = TcpStream::connect(ep.local_addr()).unwrap();
     s.write_all(&encode_handshake()).unwrap();
     let mut echo = [0u8; HANDSHAKE_BYTES];
@@ -45,9 +35,9 @@ fn raw_dial(ep: &TcpEndpoint) -> TcpStream {
     s
 }
 
-/// Poll until rank 0 has collected `want` link faults (reader threads
-/// report asynchronously).
-fn wait_for_faults(ep: &mut TcpEndpoint, want: usize) -> usize {
+/// Poll until rank 0 has collected `want` link faults (the driver
+/// reports asynchronously).
+fn wait_for_faults(ep: &mut PollTcpEndpoint, want: usize) -> usize {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         let have = ep.link_faults().len();

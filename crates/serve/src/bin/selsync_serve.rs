@@ -26,7 +26,7 @@
 
 use selsync_chaos::{ChaosTransport, FaultPlan};
 use selsync_core::checkpoint::{load_state_with_fallback, probe_state_generation, StateGeneration};
-use selsync_net::{TcpEndpoint, TcpFabricConfig};
+use selsync_net::{PollTcpEndpoint, TcpFabricConfig};
 use selsync_serve::{
     run_client, run_replica, run_router, spawn_watcher, ClientConfig, ModelSpec, PredictEngine,
     Ranks, ReplicaConfig, RouterConfig,
@@ -248,7 +248,7 @@ fn fatal(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-fn run_replica_role(ep: TcpEndpoint, a: &Args) -> i32 {
+fn run_replica_role(ep: PollTcpEndpoint, a: &Args) -> i32 {
     let Some(ckpt) = a.checkpoint.clone() else {
         eprintln!("fatal: --checkpoint is required for --role replica");
         return 2;
@@ -338,7 +338,7 @@ fn run_replica_role(ep: TcpEndpoint, a: &Args) -> i32 {
     }
 }
 
-fn run_router_role(ep: TcpEndpoint, a: &Args) -> i32 {
+fn run_router_role(ep: PollTcpEndpoint, a: &Args) -> i32 {
     let cfg = RouterConfig {
         replicas: a.replicas,
         clients: a.peers.len() - a.replicas - 1,
@@ -383,7 +383,7 @@ fn run_router_role(ep: TcpEndpoint, a: &Args) -> i32 {
     }
 }
 
-fn run_client_role(ep: TcpEndpoint, a: &Args) -> i32 {
+fn run_client_role(ep: PollTcpEndpoint, a: &Args) -> i32 {
     let cfg = ClientConfig {
         router: Ranks::new(a.replicas).router(),
         requests: a.requests,
@@ -445,7 +445,7 @@ fn main() {
         a.peers.len(),
         a.peers[a.rank]
     );
-    let ep = match TcpEndpoint::connect(fabric) {
+    let ep = match PollTcpEndpoint::connect(fabric) {
         Ok(ep) => ep,
         Err(e) => fatal(&format!("fabric setup failed: {e}")),
     };

@@ -8,40 +8,19 @@ use selsync_comm::Transport;
 use selsync_core::prelude::*;
 use selsync_core::trainer::{run_server_rank, run_worker_rank, WorkerOutput};
 use selsync_core::{run_distributed, RunConfig};
-use selsync_net::{TcpEndpoint, TcpFabricConfig};
-use std::net::TcpListener;
+use selsync_net::loopback_mesh;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-/// Bind `n_ranks` ephemeral loopback ports and connect the full mesh.
-fn tcp_fabric(n_ranks: usize) -> Vec<TcpEndpoint> {
-    let listeners: Vec<TcpListener> = (0..n_ranks)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
-        .collect();
-    let peers: Vec<String> = listeners
-        .iter()
-        .map(|l| l.local_addr().unwrap().to_string())
-        .collect();
-    let handles: Vec<_> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(rank, listener)| {
-            let mut cfg = TcpFabricConfig::new(rank, peers.clone());
-            cfg.recv_timeout = Duration::from_secs(60);
-            thread::spawn(move || TcpEndpoint::connect_with_listener(cfg, listener).unwrap())
-        })
-        .collect();
-    handles.into_iter().map(|h| h.join().unwrap()).collect()
-}
-
 /// Run `config` over real sockets: one thread per rank, each owning a
-/// [`TcpEndpoint`] — the same topology `selsync_dist` gives separate
-/// OS processes. Returns (worker outputs in rank order, final global
+/// [`selsync_net::PollTcpEndpoint`] — the same topology `selsync_dist`
+/// gives separate OS processes. Returns (worker outputs in rank order, final global
 /// params, total bytes actually framed onto sockets).
 fn run_over_tcp(config: &RunConfig, workload: &Workload) -> (Vec<WorkerOutput>, Vec<f32>, u64) {
     let n = config.n_workers;
-    let mut endpoints = tcp_fabric(n + 1);
+    let mut endpoints =
+        loopback_mesh(n + 1, |c| c.recv_timeout = Duration::from_secs(60)).expect("loopback mesh");
     let server_ep = endpoints.pop().unwrap();
     let stats: Vec<_> = endpoints
         .iter()
