@@ -758,6 +758,57 @@ mod tests {
         );
     }
 
+    /// `(id, stored crc)` of every section of an encoded v2 container.
+    fn section_crcs(bytes: &[u8]) -> Vec<(u32, u32)> {
+        // sections start after magic, version and section count
+        let mut r = Reader {
+            buf: bytes,
+            pos: 12,
+        };
+        let mut out = Vec::new();
+        while r.pos < bytes.len() {
+            let id = r.u32("id").unwrap();
+            let len = r.u64("len").unwrap() as usize;
+            out.push((id, r.u32("crc").unwrap()));
+            r.take(len, "body").unwrap();
+        }
+        out
+    }
+
+    /// Section CRCs of a seeded ResNetMini state, pinned from the
+    /// bytewise CRC this crate shipped with: checkpoints written before
+    /// the sliced CRC must still load, and new ones must match them.
+    #[test]
+    fn golden_section_crcs_of_a_seeded_resnet_state() {
+        let params = selsync_nn::flat::flat_params(&selsync_nn::models::ResNetMini::new(10, 42));
+        let mut state = TrainState::fresh(3, params.clone());
+        state.step = 120;
+        state.syncs = 31;
+        state.rounds = 120;
+        state.seed = 42;
+        state.evictions = vec![(40, 2)];
+        state.joins = vec![(90, 2)];
+        state.optim_slots = vec![params.iter().map(|p| p * 0.5).collect()];
+        let mut delta = RelativeGradChange::new(5, 0.3);
+        delta.update(1.5);
+        delta.update(0.75);
+        state.delta_state = Some(delta);
+        let bytes = encode_state(&state);
+        assert_eq!(bytes.len(), 80_716);
+        assert_eq!(
+            section_crcs(&bytes),
+            [
+                (SEC_META, 0x2E22_D0ED),
+                (SEC_PARAMS, 0x70CC_CDF8),
+                (SEC_MEMBERSHIP, 0x9DBB_BC0D),
+                (SEC_HISTORY, 0x40DA_C20C),
+                (SEC_OPTIM, 0x7761_E908),
+                (SEC_DELTA, 0xEBDB_2940),
+            ]
+        );
+        assert_states_equal(&state, &decode_state(&bytes).unwrap());
+    }
+
     #[test]
     fn state_roundtrips_bitwise() {
         let state = sample_state(0);

@@ -51,7 +51,7 @@
 //! [`FrameError::BadMagic`] instead of mis-parsing each other's
 //! frames indefinitely.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 pub use selsync_comm::crc32;
 use selsync_comm::{Msg, Payload, ShardSpec};
 use std::fmt;
@@ -186,16 +186,13 @@ pub fn encode_handshake() -> [u8; HANDSHAKE_BYTES] {
 /// version. Unknown *feature* bits are tolerated (they are advertisory,
 /// not load-bearing) and returned for the caller to inspect.
 pub fn decode_handshake(raw: &[u8; HANDSHAKE_BYTES]) -> Result<Handshake, FrameError> {
-    // lint:allow(unwrap-in-prod): fixed-size sub-slices of an 8-byte
-    // array always convert
-    let magic = u32::from_be_bytes(raw[..4].try_into().unwrap());
+    let [m0, m1, m2, m3, v0, v1, f0, f1] = *raw;
+    let magic = u32::from_be_bytes([m0, m1, m2, m3]);
     if magic != PROTOCOL_MAGIC {
         return Err(FrameError::BadMagic(magic));
     }
-    // lint:allow(unwrap-in-prod): fixed-size sub-slice, see above
-    let version = u16::from_be_bytes(raw[4..6].try_into().unwrap());
-    // lint:allow(unwrap-in-prod): fixed-size sub-slice, see above
-    let features = u16::from_be_bytes(raw[6..8].try_into().unwrap());
+    let version = u16::from_be_bytes([v0, v1]);
+    let features = u16::from_be_bytes([f0, f1]);
     if version != PROTOCOL_VERSION {
         return Err(FrameError::VersionMismatch {
             ours: PROTOCOL_VERSION,
@@ -234,7 +231,7 @@ fn kind_of(payload: &Payload) -> u8 {
 /// skewing `CommStats`.
 pub fn encode_frame(from: usize, tag: u64, payload: &Payload) -> Bytes {
     let wire = payload.wire_bytes() as usize;
-    let mut buf = BytesMut::with_capacity(wire);
+    let mut buf = Vec::with_capacity(wire);
     buf.put_u32((wire - 4) as u32);
     buf.put_u32(from as u32);
     buf.put_u64(tag);
@@ -321,43 +318,44 @@ pub fn encode_frame(from: usize, tag: u64, payload: &Payload) -> Bytes {
         wire,
         "encoded frame length diverged from Payload::wire_bytes"
     );
-    buf.freeze()
+    Bytes::from(buf)
 }
 
-fn put_f32_section(buf: &mut BytesMut, v: &[f32]) {
+/// Append a `u32 count` + `count × N`-byte section: the buffer grows
+/// once and every element is written in place as one big-endian pass,
+/// rather than one append per element.
+fn put_section<T: Copy, const N: usize>(buf: &mut Vec<u8>, v: &[T], to_be: impl Fn(T) -> [u8; N]) {
     buf.put_u32(v.len() as u32);
-    for x in v {
-        buf.put_f32(*x);
+    let start = buf.len();
+    buf.resize(start + N * v.len(), 0);
+    let (out, _) = buf[start..].as_chunks_mut::<N>();
+    for (o, &x) in out.iter_mut().zip(v) {
+        *o = to_be(x);
     }
 }
 
-fn put_u64_section(buf: &mut BytesMut, v: &[usize]) {
-    buf.put_u32(v.len() as u32);
-    for x in v {
-        buf.put_u64(*x as u64);
-    }
+fn put_f32_section(buf: &mut Vec<u8>, v: &[f32]) {
+    put_section(buf, v, f32::to_be_bytes);
 }
 
-fn put_u32_section(buf: &mut BytesMut, v: &[u32]) {
-    buf.put_u32(v.len() as u32);
-    for x in v {
-        buf.put_u32(*x);
-    }
+fn put_u32_section(buf: &mut Vec<u8>, v: &[u32]) {
+    put_section(buf, v, u32::to_be_bytes);
+}
+
+fn put_u64_section(buf: &mut Vec<u8>, v: &[usize]) {
+    put_section(buf, v, |x| (x as u64).to_be_bytes());
 }
 
 /// Decode a complete frame (as produced by [`encode_frame`]) back into
 /// a [`Msg`], verifying the CRC trailer first.
 pub fn decode_frame(frame: &[u8]) -> Result<Msg, FrameError> {
-    if frame.len() < 4 {
+    let Some((len, rest)) = frame.split_first_chunk::<4>() else {
         return Err(FrameError::Truncated {
             needed: 4,
             have: frame.len(),
         });
-    }
-    // lint:allow(unwrap-in-prod): frame.len() >= 4 checked above, so the
-    // 4-byte slice always converts into [u8; 4]
-    let declared = u32::from_be_bytes(frame[..4].try_into().unwrap()) as usize;
-    let rest = &frame[4..];
+    };
+    let declared = u32::from_be_bytes(*len) as usize;
     if rest.len() != declared {
         return Err(FrameError::Truncated {
             needed: declared,
@@ -371,15 +369,16 @@ pub fn decode_frame(frame: &[u8]) -> Result<Msg, FrameError> {
 /// the TCP reader hands over once it has read a full frame body. The
 /// CRC trailer is verified before any body byte is interpreted.
 pub fn decode_after_len(buf: &[u8]) -> Result<Msg, FrameError> {
-    if buf.len() < MIN_REST_BYTES {
-        return Err(FrameError::Truncated {
-            needed: MIN_REST_BYTES,
-            have: buf.len(),
-        });
-    }
-    let (covered, trailer) = buf.split_at(buf.len() - CRC_BYTES);
-    // lint:allow(unwrap-in-prod): split_at leaves exactly CRC_BYTES = 4
-    let expected = u32::from_be_bytes(trailer.try_into().unwrap());
+    let (covered, trailer) = match buf.split_last_chunk::<CRC_BYTES>() {
+        Some(split) if buf.len() >= MIN_REST_BYTES => split,
+        _ => {
+            return Err(FrameError::Truncated {
+                needed: MIN_REST_BYTES,
+                have: buf.len(),
+            })
+        }
+    };
+    let expected = u32::from_be_bytes(*trailer);
     let computed = crc32(covered);
     if computed != expected {
         return Err(FrameError::Crc { expected, computed });
@@ -387,10 +386,7 @@ pub fn decode_after_len(buf: &[u8]) -> Result<Msg, FrameError> {
     let mut buf = covered;
     let from = get_u32_checked(&mut buf)? as usize;
     let tag = get_u64_checked(&mut buf)?;
-    let kind = {
-        let b = take(&mut buf, 1)?;
-        b[0]
-    };
+    let [kind] = take_array(&mut buf)?;
     let payload = match kind {
         KIND_PARAMS => Payload::Params(get_f32_section(&mut buf)?),
         KIND_GRADS => Payload::Grads(get_f32_section(&mut buf)?),
@@ -422,12 +418,7 @@ pub fn decode_after_len(buf: &[u8]) -> Result<Msg, FrameError> {
             // the count is validated against the frame's remaining bytes
             // BEFORE any allocation — a hostile count of 4 billion must
             // not reserve 32 GB
-            let raw = take_section(&mut buf, 8)?;
-            let starts = raw
-                .chunks_exact(8)
-                // lint:allow(unwrap-in-prod): chunks_exact(8) yields 8-byte slices
-                .map(|c| u64::from_be_bytes(c.try_into().unwrap()))
-                .collect();
+            let starts = get_section(&mut buf, u64::from_be_bytes)?;
             Payload::ShardMap(ShardSpec {
                 version,
                 total,
@@ -451,7 +442,7 @@ pub fn decode_after_len(buf: &[u8]) -> Result<Msg, FrameError> {
         }
         KIND_SPARSE_GRAD => {
             let len = get_u32_checked(&mut buf)?;
-            let indices = get_u32_section(&mut buf)?;
+            let indices = get_section(&mut buf, u32::from_be_bytes)?;
             let values = get_f32_section(&mut buf)?;
             Payload::SparseGrad {
                 len,
@@ -461,11 +452,7 @@ pub fn decode_after_len(buf: &[u8]) -> Result<Msg, FrameError> {
         }
         KIND_SIGN_GRAD => {
             let len = get_u32_checked(&mut buf)?;
-            let scale = {
-                let b = take(&mut buf, 4)?;
-                // lint:allow(unwrap-in-prod): take() returned exactly 4 bytes
-                f32::from_bits(u32::from_be_bytes(b.try_into().unwrap()))
-            };
+            let scale = f32::from_be_bytes(take_array(&mut buf)?);
             let bits = take_section(&mut buf, 1)?.to_vec();
             Payload::SignGrad { len, scale, bits }
         }
@@ -503,6 +490,17 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], FrameError> {
     Ok(head)
 }
 
+fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], FrameError> {
+    let Some((head, rest)) = buf.split_first_chunk::<N>() else {
+        return Err(FrameError::Truncated {
+            needed: N,
+            have: buf.len(),
+        });
+    };
+    *buf = rest;
+    Ok(*head)
+}
+
 /// Read an inner section's `u32 count` and hand back its `count × elem`
 /// raw bytes, rejecting before any allocation or overflow if the frame
 /// does not actually hold that many bytes.
@@ -519,44 +517,30 @@ fn take_section<'a>(buf: &mut &'a [u8], elem: usize) -> Result<&'a [u8], FrameEr
 }
 
 fn get_u32_checked(buf: &mut &[u8]) -> Result<u32, FrameError> {
-    let b = take(buf, 4)?;
-    // lint:allow(unwrap-in-prod): take() returned exactly 4 bytes, so the
-    // conversion into [u8; 4] cannot fail
-    Ok(u32::from_be_bytes(b.try_into().unwrap()))
+    take_array(buf).map(u32::from_be_bytes)
 }
 
 fn get_u64_checked(buf: &mut &[u8]) -> Result<u64, FrameError> {
-    let b = take(buf, 8)?;
-    // lint:allow(unwrap-in-prod): take() returned exactly 8 bytes, so the
-    // conversion into [u8; 8] cannot fail
-    Ok(u64::from_be_bytes(b.try_into().unwrap()))
+    take_array(buf).map(u64::from_be_bytes)
+}
+
+/// Decode a `u32 count` + `count × N`-byte section in one pass over
+/// its fixed-size chunks (the count is checked by [`take_section`]
+/// before anything is allocated).
+fn get_section<T, const N: usize>(
+    buf: &mut &[u8],
+    from_be: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, FrameError> {
+    let (chunks, _) = take_section(buf, N)?.as_chunks::<N>();
+    Ok(chunks.iter().map(|&c| from_be(c)).collect())
 }
 
 fn get_f32_section(buf: &mut &[u8]) -> Result<Vec<f32>, FrameError> {
-    let raw = take_section(buf, 4)?;
-    Ok(raw
-        .chunks_exact(4)
-        // lint:allow(unwrap-in-prod): chunks_exact(4) yields 4-byte slices
-        .map(|c| f32::from_bits(u32::from_be_bytes(c.try_into().unwrap())))
-        .collect())
-}
-
-fn get_u32_section(buf: &mut &[u8]) -> Result<Vec<u32>, FrameError> {
-    let raw = take_section(buf, 4)?;
-    Ok(raw
-        .chunks_exact(4)
-        // lint:allow(unwrap-in-prod): chunks_exact(4) yields 4-byte slices
-        .map(|c| u32::from_be_bytes(c.try_into().unwrap()))
-        .collect())
+    get_section(buf, f32::from_be_bytes)
 }
 
 fn get_u64_section(buf: &mut &[u8]) -> Result<Vec<usize>, FrameError> {
-    let raw = take_section(buf, 8)?;
-    Ok(raw
-        .chunks_exact(8)
-        // lint:allow(unwrap-in-prod): chunks_exact(8) yields 8-byte slices
-        .map(|c| u64::from_be_bytes(c.try_into().unwrap()) as usize)
-        .collect())
+    get_section(buf, |c| u64::from_be_bytes(c) as usize)
 }
 
 #[cfg(test)]
@@ -737,6 +721,58 @@ mod tests {
             decode_frame(&frame),
             Err(FrameError::Truncated { .. })
         ));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Byte-exact frames pinned from the element-at-a-time encoder and
+    /// bytewise CRC this codec shipped with: peers built before the
+    /// bulk section codec must read, and be read by, this build. Every
+    /// body is longer than one 16-byte CRC slice.
+    #[test]
+    fn golden_frames_are_byte_exact() {
+        let cases = [
+            (
+                Payload::Grads(vec![1.0, -2.5, 0.1, f32::MIN_POSITIVE, 3.75, -0.0]),
+                "0000002d00000001010203040506070801000000063f800000c02000003dcccccd008000004070000080000000f2068d8f",
+            ),
+            (
+                Payload::Bucket {
+                    bucket: 2,
+                    n_buckets: 5,
+                    values: vec![0.5, -1.25, 1e-3, 7.0, -9.5],
+                },
+                "000000310000000201020304050607090a0000000200000005000000053f000000bfa000003a83126f40e00000c1180000741a866d",
+            ),
+            (
+                Payload::SparseGrad {
+                    len: 1000,
+                    indices: vec![3, 77, 512, 999],
+                    values: vec![0.25, -4.0, 1.5, 1e6],
+                },
+                "0000003d00000003010203040506070a0b000003e800000004000000030000004d00000200000003e7000000043e800000c08000003fc0000049742400f1b70680",
+            ),
+            (
+                Payload::Flags(vec![1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0]),
+                "0000002700000004010203040506070b020000001201000101000001000101010000010001010021756b8f",
+            ),
+            (
+                Payload::Samples {
+                    data: vec![0.125, -0.75, 2.0],
+                    targets: vec![4, 9],
+                    dims: vec![3, 1 << 40],
+                },
+                "0000004900000005010203040506070c03000000033e000000bf4000004000000000000002000000000000000400000000000000090000000200000000000000030000010000000000379263d2",
+            ),
+        ];
+        for (i, (payload, want)) in cases.iter().enumerate() {
+            let frame = encode_frame(i + 1, 0x0102_0304_0506_0708 + i as u64, payload);
+            assert_eq!(hex(&frame), *want, "case {i}");
+            let m = decode_frame(&frame).expect("golden frame decodes");
+            assert_eq!(&m.payload, payload);
+        }
     }
 
     #[test]

@@ -49,7 +49,10 @@
 //!
 //! Only an exhausted budget, a version-mismatch handshake (which a
 //! retry cannot fix) or shutdown gives a broken link up; sends to that
-//! peer then surface as [`TransportError::PeerUnreachable`].
+//! peer then surface as [`TransportError::PeerUnreachable`]. Shutdown
+//! flushes what is queued to links that are up, for at most
+//! `reconnect_timeout`: a peer that stopped reading then loses its
+//! unsent frames and gets its FIN, so `close()` always returns.
 
 use crate::codec::{
     decode_after_len, decode_handshake, encode_frame, encode_handshake, HANDSHAKE_BYTES,
@@ -106,7 +109,8 @@ pub struct TcpFabricConfig {
     /// redials with capped exponential backoff for this long before the
     /// peer is declared unreachable; failover protocols need this to
     /// survive a parameter-server restart without tearing the fabric
-    /// down.
+    /// down. It also bounds the flush at shutdown: frames a peer has
+    /// not taken by then are dropped.
     pub reconnect_timeout: Duration,
     /// Ceiling on a single inbound frame's declared size. A length
     /// prefix above this — hostile or corrupt — is rejected as a
@@ -310,6 +314,7 @@ impl PollTcpEndpoint {
             stats: Arc::clone(&stats),
             max_frame: config.max_frame_bytes,
             reconnect_timeout: config.reconnect_timeout,
+            flush_deadline: None,
             setup: Some(setup_tx),
         };
         let endpoint = PollTcpEndpoint {
@@ -359,8 +364,10 @@ impl PollTcpEndpoint {
     }
 
     /// Flush queued frames to every peer, close the outbound streams,
-    /// and join the driver. Called implicitly on drop; explicit calls
-    /// make shutdown ordering visible in launcher code.
+    /// and join the driver. The flush gets at most `reconnect_timeout`;
+    /// frames a peer has not taken by then are dropped. Called
+    /// implicitly on drop; explicit calls make shutdown ordering visible
+    /// in launcher code.
     pub fn close(mut self) {
         self.teardown();
     }
@@ -815,6 +822,9 @@ struct Driver {
     stats: Arc<CommStats>,
     max_frame: usize,
     reconnect_timeout: Duration,
+    /// Set when shutdown begins: frames still queued at this instant
+    /// are dropped rather than waiting on a peer that stopped reading.
+    flush_deadline: Option<Instant>,
     /// Tells `connect_with_listener` how set-up ended: `Ok` once every
     /// outbound link has come up, or the first link's failure. `None`
     /// once reported.
@@ -863,6 +873,9 @@ fn driver_loop(mut d: Driver) {
         }
 
         let now = Instant::now();
+        if shutting && d.flush_deadline.is_none() {
+            d.flush_deadline = Some(now + d.reconnect_timeout);
+        }
         for i in 0..d.outbound.len() {
             d.pump_outbound(i, now, shutting);
         }
@@ -909,13 +922,18 @@ impl Driver {
     /// Move outbound link `i` forward: queue the endpoint's frames, step
     /// the link, and FIN it once the endpoint is gone and everything is
     /// flushed. Once shutting down, a link that is not up is abandoned
-    /// rather than redialed.
+    /// rather than redialed, and one still owed frames at the flush
+    /// deadline has them dropped.
     fn pump_outbound(&mut self, i: usize, now: Instant, shutting: bool) {
         let conn = &mut self.outbound[i];
         if matches!(conn.link, Link::Finished) {
             return;
         }
         conn.drain_endpoint();
+        if self.flush_deadline.is_some_and(|t| now >= t) {
+            conn.queue.clear();
+            conn.front_off = 0;
+        }
         let stepped = if shutting && !matches!(conn.link, Link::Up(_)) {
             Err(io::Error::other("fabric shut down"))
         } else {
@@ -971,7 +989,12 @@ impl Driver {
                 _ => {}
             }
         }
-        let due = self.outbound.iter().filter_map(OutboundConn::timer).min();
+        let due = self
+            .outbound
+            .iter()
+            .filter_map(OutboundConn::timer)
+            .chain(self.flush_deadline)
+            .min();
         due.map(|t| t.saturating_duration_since(Instant::now()))
     }
 

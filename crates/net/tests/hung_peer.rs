@@ -1,6 +1,7 @@
 //! A hung peer must not stall the healthy links of the poll fabric's
-//! single driver thread. The test has a binary of its own so no other
-//! test competes with its ping-pong for the CPU.
+//! single driver thread, nor its shutdown. The tests have a binary of
+//! their own and run one at a time, so nothing competes with the
+//! ping-pong for the CPU.
 
 use selsync_comm::{Payload, Transport};
 use selsync_net::{
@@ -8,8 +9,16 @@ use selsync_net::{
 };
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// Held for the whole of each test: the ping-pong's RTT bound must not
+/// share the CPU with the other test's bulk sends.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Answer the SelSync preamble on a raw test-controlled socket, the
 /// way a real acceptor would.
@@ -25,6 +34,7 @@ fn raw_handshake(conn: &mut TcpStream) {
 /// the healthy links: the redial runs beside them, not in front.
 #[test]
 fn hung_peer_does_not_stall_healthy_links() {
+    let _serial = one_at_a_time();
     let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
     let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
     let hung = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -83,4 +93,44 @@ fn hung_peer_does_not_stall_healthy_links() {
     );
     a.close();
     b.close();
+}
+
+/// A peer that is up but has stopped reading, owed more than the
+/// loopback socket buffers hold, must not hold `close()` forever: the
+/// shutdown flush gives up after `reconnect_timeout`, drops the frames
+/// and FINs the link.
+#[test]
+fn close_is_bounded_when_a_peer_stops_reading() {
+    let _serial = one_at_a_time();
+    let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+    let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
+    let peers = vec![
+        l0.local_addr().unwrap().to_string(),
+        stalled.local_addr().unwrap().to_string(),
+    ];
+    let mut config = TcpFabricConfig::new(0, peers);
+    let bound = Duration::from_secs(1);
+    config.reconnect_timeout = bound;
+    let answer = thread::spawn(move || {
+        let (mut s, _) = stalled.accept().unwrap();
+        raw_handshake(&mut s);
+        s
+    });
+    let mut ep = PollTcpEndpoint::connect_with_listener(config, l0).unwrap();
+    let conn = answer.join().unwrap(); // never read from again
+
+    // 16 frames of 1 MiB: far more than the send and receive buffers of
+    // a loopback connection whose reader is asleep
+    for tag in 0..16 {
+        ep.send(1, tag, Payload::Grads(vec![0.5; 1 << 18])).unwrap();
+    }
+    let start = Instant::now();
+    ep.close();
+    let took = start.elapsed();
+    assert!(
+        took >= bound - Duration::from_millis(100),
+        "close returned in {took:?}: the socket buffers took the whole queue"
+    );
+    assert!(took < bound + Duration::from_secs(2), "close took {took:?}");
+    drop(conn);
 }
